@@ -56,9 +56,9 @@ def cmd_demo(args) -> int:
     """Run one SAT on the simulated HMM and verify it against numpy.
 
     ``--repeat`` reruns the same shape to exercise the plan cache;
-    ``--fast`` uses the vectorized counter-replay path for the warm runs,
-    and ``--fused`` picks that path's backend (batched numpy or the
-    compiled native megakernels).
+    ``--fast`` uses the fused fast path (memoized per-kernel tallies) for
+    the warm runs, and ``--fused`` picks that path's backend (batched
+    numpy or the compiled native megakernels).
     """
     from .machine.engine import ExecutionEngine, PlanCache
 
@@ -84,7 +84,7 @@ def cmd_demo(args) -> int:
             )
         print(
             f"plan cache over {args.repeat} runs"
-            f"{' (fast replay)' if args.fast else ''}: "
+            f"{' (fast)' if args.fast else ''}: "
             f"{stats['compiles']} compile(s), {stats['hits']} hit(s), "
             f"warm runs bit-identical: {'OK' if ok else 'MISMATCH'}"
             f"{backend_note}"
@@ -303,9 +303,9 @@ def cmd_stats(args) -> int:
     """Run an instrumented workload and export the observability state.
 
     Exercises every instrumented layer with observability forced on for
-    the run — a cold compile + counted execution, warm fused replays, one
+    the run — a cold compile + counted execution, warm fused runs, one
     warm native-backend run (so compiled-kernel accounting, or the
-    fallback counter on hosts without a JIT toolchain, appears in the
+    fallback counter on hosts without a C toolchain, appears in the
     export), a serial :class:`~repro.sat.batch.BatchSession` batch, and a
     prefetched band stream — then prints the collected metrics as JSON
     and/or Prometheus text exposition. Also runs the
@@ -783,13 +783,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fast", action="store_true",
-        help="use the vectorized counter-replay path for warm repeats",
+        help="use the fused fast path (memoized tallies) for warm repeats",
     )
     p.add_argument(
         "--fused", choices=["numpy", "native"], default=None,
         help="fused backend for --fast warm repeats: batched numpy or "
         "compiled native megakernels (default: REPRO_FUSED_BACKEND, "
-        "else numpy; native degrades to numpy without a JIT toolchain)",
+        "else numpy; native degrades to numpy without a C toolchain)",
     )
     _add_machine_args(p)
     p.set_defaults(fn=cmd_demo)

@@ -11,7 +11,7 @@ Two complementary implementations of the paper's models live here:
   Section III that converts measured counters into predicted time units;
 * :mod:`repro.machine.engine` — the execution engine: compiled task plans
   for the macro executor, cached per ``(algorithm, shape, machine)`` key,
-  with a vectorized counter-replay fast path.
+  with a fused fast path that applies memoized per-kernel tallies.
 """
 
 from .cost import (

@@ -1,4 +1,4 @@
-"""Native backend: lower fused kernel schedules to JIT/C megakernels.
+"""Native backend: lower fused kernel schedules to generated-C megakernels.
 
 The numpy fused backend (:mod:`repro.machine.engine.fused`) executes each
 kernel as a handful of *batched numpy calls* — stacked gather through
@@ -14,38 +14,30 @@ result — one loop nest, no numpy round trips (the software-systolic
 argument of Chen et al., arXiv:1907.06154, applied to the simulator's
 own execution).
 
-Two JIT toolchains are supported, resolved in this order (override with
-``REPRO_NATIVE_JIT``):
+The kernels are C source *generated in this module* from the specs'
+parameters, with allocation/layout/access lowering delegated to the
+SYS_ATL-style memory objects of :mod:`repro.machine.engine.memobj`,
+compiled once with the host C compiler (OpenMP when available), loaded
+through cffi, and cached on disk keyed by source hash
+(``REPRO_NATIVE_CACHE_DIR``).
 
-* **numba** — ``@njit(parallel=True, cache=True)`` kernels
-  (:mod:`repro.machine.engine.native_numba`), the primary target where
-  numba is installed;
-* **cffi/C** — C source *generated in this module* from the specs'
-  parameters, with allocation/layout/access lowering delegated to the
-  SYS_ATL-style memory objects of :mod:`repro.machine.engine.memobj`,
-  compiled once with the host C compiler (OpenMP when available) and
-  cached on disk keyed by source hash (``REPRO_NATIVE_CACHE_DIR``).
-
-When neither toolchain works the backend degrades gracefully: requesting
-``fused="native"`` falls back to the numpy fused path with a single
-:class:`NativeBackendUnavailable` warning and an obs counter — outputs
-are bit-identical either way, only the speed differs.
+When the toolchain does not work the backend degrades gracefully:
+requesting ``fused="native"`` falls back to the numpy fused path with a
+single :class:`NativeBackendUnavailable` warning and an obs counter —
+outputs are bit-identical either way, only the speed differs.
 
 Bit-exactness
 -------------
 The native kernels inherit the fused backend's contract: leave global
 memory in the *exact* state the per-task path leaves it in. Cumulative
 sums are sequential in every backend, so they agree trivially; numpy
-*reductions* do not — ``np.sum`` over a contiguous last axis uses
-pairwise summation (eight-accumulator base case, blocksize 128), while
-reductions over outer axes accumulate sequentially. The native kernels
-replicate both orders exactly (:func:`~repro.machine.engine.native_numba
-.pairwise_spec` documents the algorithm; the C generator emits the same
-routine), and a one-time **self-check probe** verifies the whole family:
-on first use the backend computes all six algorithms on integer *and*
-float inputs and compares against the numpy fused path bit-for-bit,
-permanently disabling itself (with a warning) on any mismatch rather
-than serving approximately-right answers.
+*reductions* do not — the generated code reproduces numpy's orders
+exactly (see ``repro_pairwise`` in the C prelude). A one-time
+**self-check probe** verifies the whole family: on first use the
+backend computes all six algorithms on integer *and* float inputs and
+compares against the numpy fused path bit-for-bit, permanently
+disabling itself (with a warning) on any mismatch rather than serving
+approximately-right answers.
 """
 
 from __future__ import annotations
@@ -67,7 +59,6 @@ from .memobj import GlobalRowMajor, tile_memory
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "JIT_ENV_VAR",
     "CACHE_DIR_ENV_VAR",
     "NativeBackendUnavailable",
     "NativeGroup",
@@ -85,12 +76,7 @@ __all__ = [
 #: ``native``.
 BACKEND_ENV_VAR = "REPRO_FUSED_BACKEND"
 
-#: Restricts which JIT toolchain the native backend may use:
-#: ``auto`` (default: numba, then cffi), ``numba``, ``cffi``, or ``none``
-#: (treat the host as having no toolchain — the fallback-path switch).
-JIT_ENV_VAR = "REPRO_NATIVE_JIT"
-
-#: Directory for the compiled shared-object cache (cffi path). Defaults
+#: Directory for the compiled shared-object cache. Defaults
 #: to ``~/.cache/repro-native``; falls back to a temp dir.
 CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE_DIR"
 
@@ -144,10 +130,19 @@ _C_PRELUDE = r"""
 
 typedef long long i64;
 
+/* Cleared in forked children: libgomp's thread pool does not survive
+ * fork(), so a child entering a parallel region after its parent ran
+ * one would wait forever for threads that do not exist there. */
+static int repro_parallel = 1;
+
+void repro_set_serial(void) { repro_parallel = 0; }
+
 /* numpy's pairwise summation over a contiguous run, reproduced exactly
  * (eight-accumulator base case, blocksize 128, left-leaning splits
- * rounded down to multiples of 8). Reductions lowered from np.sum over
- * a contiguous last axis must run through this to stay bit-identical. */
+ * rounded down to multiples of 8). np.sum over a contiguous last axis
+ * sums in this order, while sums over outer axes accumulate rows
+ * sequentially; reductions lowered from the former must run through
+ * this, the latter through plain running adds, to stay bit-identical. */
 static double repro_pairwise(const double *a, i64 n) {
     if (n < 8) {
         double res = 0.0;
@@ -192,7 +187,7 @@ void repro_column_scan(double *a, i64 ld, i64 row0, i64 col0, i64 nr, i64 nc) {{
     if (nr <= 1 || nc <= 0) return;
     double *base = a + row0 * ld + col0;
     i64 nchunks = (nc + 255) / 256;
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if(repro_parallel)
     for (i64 chunk = 0; chunk < nchunks; chunk++) {{
         i64 clo = chunk * 256;
         i64 chi = clo + 256 < nc ? clo + 256 : nc;
@@ -209,7 +204,7 @@ def _gen_row_scan() -> str:
     prev = _gm("a", "r", "c - 1", "ld")
     return f"""
 void repro_row_scan(double *a, i64 ld, i64 nr, i64 nc) {{
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if(repro_parallel)
     for (i64 r = 0; r < nr; r++)
         for (i64 c = 1; c < nc; c++)
             {at} += {prev};
@@ -222,7 +217,7 @@ def _gen_transpose() -> str:
     dst = _gm("dst", "c", "r", "rows")
     return f"""
 void repro_transpose(double *dst, const double *src, i64 rows, i64 cols) {{
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if(repro_parallel)
     for (i64 rb = 0; rb < rows; rb += 64)
         for (i64 cb = 0; cb < cols; cb += 64) {{
             i64 rhi = rb + 64 < rows ? rb + 64 : rows;
@@ -258,7 +253,7 @@ def _gen_scatter_stage() -> str:
     return """
 void repro_scatter_stage(double *a, i64 ld, const i64 *is, const i64 *js,
                          i64 count) {
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if(repro_parallel)
     for (i64 k = 0; k < count; k++) {
         i64 i = is[k], j = js[k];
         double s = a[i * ld + j];
@@ -277,7 +272,7 @@ def _gen_step1() -> str:
 void repro_step1(const double *a, i64 ld_a, double *c, i64 ld_c,
                  double *rt, i64 ld_rt, double *mm, i64 ld_mm,
                  i64 m, i64 w) {{
-    #pragma omp parallel for collapse(2) schedule(static)
+    #pragma omp parallel for collapse(2) schedule(static) if(repro_parallel)
     for (i64 bi = 0; bi < m; bi++)
         for (i64 bj = 0; bj < m; bj++) {{
             if (bi == m - 1 && bj == m - 1) continue;
@@ -310,7 +305,7 @@ def _gen_step3() -> str:
 void repro_step3(double *a, i64 ld_a, const double *c, i64 ld_c,
                  const double *rt, i64 ld_rt, const double *mm, i64 ld_mm,
                  i64 m, i64 w) {{
-    #pragma omp parallel for collapse(2) schedule(static)
+    #pragma omp parallel for collapse(2) schedule(static) if(repro_parallel)
     for (i64 bi = 0; bi < m; bi++)
         for (i64 bj = 0; bj < m; bj++) {{
             double *src = a + (bi * w) * ld_a + bj * w;
@@ -352,7 +347,7 @@ void repro_block_stage(double *a, i64 ld_a, double *auxb, i64 ld_ab,
                        double *auxr, i64 ld_ar, const i64 *bis,
                        const i64 *bjs, i64 count, i64 w,
                        i64 block_rows, i64 block_cols) {{
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if(repro_parallel)
     for (i64 k = 0; k < count; k++) {{
         i64 bi = bis[k], bj = bjs[k];
         i64 r0 = bi * w, c0 = bj * w;
@@ -405,7 +400,7 @@ def _gen_triangle_sums() -> str:
 void repro_triangle_sums(const double *a, i64 ld_a, double *cs, i64 ld_cs,
                          double *rs, i64 ld_rs, const i64 *bis,
                          const i64 *bjs, i64 count, i64 w) {
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if(repro_parallel)
     for (i64 k = 0; k < count; k++) {
         i64 bi = bis[k], bj = bjs[k];
         const double *src = a + (bi * w) * ld_a + bj * w;
@@ -429,7 +424,7 @@ void repro_triangle_fix(double *a, i64 ld_a, const double *ca, i64 ld_ca,
                         i64 ld_g, double *auxb, i64 ld_ab, double *auxr,
                         i64 ld_ar, const i64 *bis, const i64 *bjs,
                         i64 count, i64 w, i64 m) {{
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if(repro_parallel)
     for (i64 k = 0; k < count; k++) {{
         i64 bi = bis[k], bj = bjs[k];
         i64 r0 = bi * w, c0 = bj * w;
@@ -477,6 +472,7 @@ def generate_c_source() -> str:
 
 
 _CDEF = """
+void repro_set_serial(void);
 void repro_column_scan(double *a, long long ld, long long row0,
                        long long col0, long long nr, long long nc);
 void repro_row_scan(double *a, long long ld, long long nr, long long nc);
@@ -598,7 +594,10 @@ class CffiBackend:
             _STATE.stats["modules_compiled"] += 1
         ffi = cffi.FFI()
         ffi.cdef(_CDEF)
-        return cls(ffi, ffi.dlopen(so_path))
+        lib = ffi.dlopen(so_path)
+        if _FORKED:
+            lib.repro_set_serial()
+        return cls(ffi, lib)
 
     # -- pointer plumbing ---------------------------------------------------
 
@@ -615,7 +614,7 @@ class CffiBackend:
             raise TypeError("native kernels require C-contiguous int64 indices")
         return self._ffi.cast("long long *", self._ffi.from_buffer(arr))
 
-    # -- entry points (shared signature contract with the numba backend) ----
+    # -- entry points -------------------------------------------------------
 
     def column_scan(self, a, row0, col0, nr, nc):
         self._lib.repro_column_scan(self._p(a), a.shape[1], row0, col0, nr, nc)
@@ -670,15 +669,6 @@ class CffiBackend:
         )
 
 
-def _load_numba_backend():
-    from . import native_numba
-
-    with obs.span("native_compile", toolchain="numba"):
-        backend = native_numba.build()
-    obs.inc("native_module_loads_total", source="numba")
-    return backend
-
-
 # --------------------------------------------------------------------------- #
 # Backend state: resolution, probe, stats
 # --------------------------------------------------------------------------- #
@@ -702,6 +692,20 @@ class _State:
 _STATE = _State()
 _LOCK = threading.RLock()
 
+#: Whether this process is a fork() child (e.g. a batch worker); its
+#: kernels then run on one thread (see ``repro_set_serial``).
+_FORKED = False
+
+
+def _after_fork_in_child() -> None:
+    global _FORKED
+    _FORKED = True
+    if _STATE.backend is not None:
+        _STATE.backend._lib.repro_set_serial()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
 
 def reset() -> None:
     """Forget the resolved backend (tests exercising resolution paths)."""
@@ -710,32 +714,12 @@ def reset() -> None:
         _STATE = _State()
 
 
-def _jit_preference() -> str:
-    raw = os.environ.get(JIT_ENV_VAR, "auto").strip().lower() or "auto"
-    if raw not in {"auto", "numba", "cffi", "none"}:
-        raise ConfigurationError(
-            f"{JIT_ENV_VAR}={raw!r} must be auto, numba, cffi, or none"
-        )
-    return raw
-
-
 def _build_backend() -> Tuple[Optional[object], Optional[str]]:
-    """Try the permitted toolchains in order; return (backend, failure)."""
-    preference = _jit_preference()
-    if preference == "none":
-        return None, f"{JIT_ENV_VAR}=none disables the native backend"
-    errors = []
-    if preference in ("auto", "numba"):
-        try:
-            return _load_numba_backend(), None
-        except Exception as exc:  # noqa: BLE001 — any JIT failure degrades
-            errors.append(f"numba: {exc}")
-    if preference in ("auto", "cffi"):
-        try:
-            return CffiBackend.load(), None
-        except Exception as exc:  # noqa: BLE001
-            errors.append(f"cffi: {exc}")
-    return None, "; ".join(errors) or "no JIT toolchain available"
+    """Load the generated-C backend; return (backend, failure)."""
+    try:
+        return CffiBackend.load(), None
+    except Exception as exc:  # noqa: BLE001 — any toolchain failure degrades
+        return None, f"cffi: {exc}"
 
 
 def _probe(backend) -> Optional[str]:
@@ -840,7 +824,7 @@ def native_stats() -> Dict[str, object]:
 # Backend selection for SATAlgorithm.compute(fused=...)
 # --------------------------------------------------------------------------- #
 
-#: Values ``compute(fused=...)`` accepts beyond the booleans.
+#: Backends ``compute(fused=...)`` names explicitly; ``True`` picks one.
 FUSED_BACKENDS = ("numpy", "native")
 
 
@@ -856,24 +840,21 @@ def default_fused_backend() -> str:
     return raw
 
 
-def resolve_fused(fused) -> object:
-    """Normalize a ``fused`` argument to ``False``, ``"numpy"``, or ``"native"``.
+def resolve_fused(fused) -> str:
+    """Normalize a ``fused`` argument to ``"numpy"`` or ``"native"``.
 
     ``True`` defers to :func:`default_fused_backend` so deployments can
     flip the default without code changes; explicit strings always win.
+    Anything else raises :class:`~repro.errors.ConfigurationError`.
     """
-    if fused is False:
-        return False
     if fused is True:
         return default_fused_backend()
-    if isinstance(fused, str):
-        backend = fused.strip().lower()
-        if backend in FUSED_BACKENDS:
-            return backend
-        raise ConfigurationError(
-            f"fused={fused!r} must be a bool or one of {FUSED_BACKENDS}"
-        )
-    raise ConfigurationError(f"fused={fused!r} must be a bool or str")
+    backend = fused.strip().lower() if isinstance(fused, str) else None
+    if backend in FUSED_BACKENDS:
+        return backend
+    raise ConfigurationError(
+        f"fused={fused!r} must be True, 'numpy', or 'native'"
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -1008,7 +989,7 @@ def _lower_triangle_fix(spec, backend):
 
 #: Spec class name -> lowering builder. Keyed by name so this module
 #: needs no import of :mod:`.fused` (which must stay importable without
-#: any JIT toolchain).
+#: a C toolchain).
 _LOWERINGS: Dict[str, Callable] = {
     "ColumnScanSpec": _lower_column_scan,
     "RowScanStrideSpec": _lower_row_scan,

@@ -91,7 +91,7 @@ class KernelPlan:
     """One kernel launch: its label, tasks, and (once measured) traffic.
 
     ``counters`` starts ``None`` and is filled in by the first counted
-    execution of the plan; after that the fast path can replay it.
+    execution of the plan; after that the fast path applies it wholesale.
     ``schedule`` is the kernel's *fused* execution schedule — the task
     list partitioned into :class:`~repro.machine.engine.fused
     .FusedKernelSpec` groups (batched numpy execution) and leftover
@@ -286,57 +286,49 @@ def execute_plan(
     fast: bool = False,
     fused: Union[bool, str] = True,
 ) -> None:
-    """Replay a plan against a live executor (input buffer already installed).
+    """Run a plan against a live executor (input buffer already installed).
 
     With ``fast=False`` every kernel runs through the fully counted
     :meth:`~repro.machine.macro.executor.HMMExecutor.run_kernel` path —
     bit-identical to direct execution, including the seeded adversarial
     block shuffle — and each kernel's measured traffic diff is memoized
     into the plan. With ``fast=True``, kernels whose diffs are already
-    memoized skip per-access charging and apply the recorded tally
-    wholesale: by default (``fused=True``) through
-    :meth:`~repro.machine.macro.executor.HMMExecutor.run_kernel_fused`,
-    which executes each kernel's task groups as batched numpy
-    gather/compute/scatter over the plan's precomputed index arrays;
-    with ``fused="native"`` those groups run as compiled native
+    memoized skip per-access charging, apply the recorded tally
+    wholesale, and run through
+    :meth:`~repro.machine.macro.executor.HMMExecutor.run_kernel_fused`:
+    with ``fused="numpy"`` each kernel's task groups execute as batched
+    numpy gather/compute/scatter over the plan's precomputed index
+    arrays; with ``fused="native"`` those groups run as compiled native
     megakernels instead (:mod:`~repro.machine.engine.native`; degrades
-    to the numpy schedule, bit-identically, when no JIT toolchain is
-    available); with ``fused=False`` through the per-task
-    :meth:`run_kernel_replay` path. Unmeasured kernels fall back to the
-    counted path, so the very first fast run both works and completes
-    the plan's accounting.
+    to the numpy schedule, bit-identically, when the C toolchain is
+    unavailable); ``fused=True`` picks the ``REPRO_FUSED_BACKEND``
+    default. Unmeasured kernels fall back to the counted path, so the
+    very first fast run both works and completes the plan's accounting.
     """
     from .native import ensure_backend, resolve_fused
 
     backend = None
     fused = resolve_fused(fused)
-    use_replay = (
-        fast and executor.injector is None and executor.max_task_retries == 0
-    )
-    if use_replay and fused == "native":
+    fast = fast and executor.injector is None and executor.max_task_retries == 0
+    if fast and fused == "native":
         backend = ensure_backend()  # None -> numpy fused fallback (warned)
     for op in plan.ops:
         if isinstance(op, AllocOp):
             executor.gm.alloc(op.name, op.shape, dtype=np.dtype(op.dtype))
         elif isinstance(op, FreeOp):
             executor.gm.free(op.name)
-        else:
-            if use_replay and op.counters is not None:
-                if backend is not None:
-                    executor.run_kernel_fused(
-                        op.native_schedule(backend), len(op.tasks), op.counters,
-                        label=op.label, mode="native",
-                    )
-                elif fused:
-                    executor.run_kernel_fused(
-                        op.fused_schedule(), len(op.tasks), op.counters,
-                        label=op.label,
-                    )
-                else:
-                    executor.run_kernel_replay(
-                        op.tasks, op.counters, label=op.label
-                    )
+        elif fast and op.counters is not None:
+            if backend is not None:
+                executor.run_kernel_fused(
+                    op.native_schedule(backend), len(op.tasks), op.counters,
+                    label=op.label, mode="native",
+                )
             else:
-                trace = executor.run_kernel(op.tasks, label=op.label)
-                if op.counters is None:
-                    op.counters = trace.counters.copy()
+                executor.run_kernel_fused(
+                    op.fused_schedule(), len(op.tasks), op.counters,
+                    label=op.label,
+                )
+        else:
+            trace = executor.run_kernel(op.tasks, label=op.label)
+            if op.counters is None:
+                op.counters = trace.counters.copy()

@@ -199,9 +199,9 @@ def record_kernel(label: str, mode: str, blocks: int, duration_s: float,
                   counters=None) -> None:
     """Record one kernel launch (executor hot path; call only when enabled).
 
-    ``mode`` distinguishes the three execution paths — ``counted``
-    (per-access charging), ``replay`` (memoized tallies, per-task), and
-    ``fused`` (memoized tallies, batched numpy). ``counters`` is the
+    ``mode`` names the path that ran the kernel — ``counted``
+    (per-access charging), ``fused`` (memoized tallies, batched numpy),
+    or ``native`` (memoized tallies, compiled megakernels). ``counters`` is the
     kernel's :class:`~repro.machine.macro.counters.AccessCounters` traffic
     diff (duck-typed; this module cannot import the machine layer).
 

@@ -21,6 +21,7 @@ from ..errors import ConfigurationError, PlanCompileError, ShapeError
 from ..obs import runtime as obs_runtime
 from ..machine.cost import CostBreakdown, access_cost, breakdown, transaction_cost
 from ..machine.engine import ExecutionEngine, default_engine
+from ..machine.engine.native import ensure_backend, resolve_fused
 from ..machine.macro.counters import AccessCounters
 from ..machine.macro.executor import HMMExecutor, KernelTrace
 from ..machine.params import MachineParams
@@ -153,12 +154,13 @@ class SATAlgorithm(abc.ABC):
             Set ``False`` to force direct (plan-less) execution — the
             always-cold reference path used by benchmarks and tests.
         fast:
-            Execute through the engine's fast path: per-access traffic
-            accounting is replaced by replaying the plan's memoized
-            per-kernel tallies (exact, because HMM access patterns are
-            data-independent; asserted bit-identical in the test suite).
-            The first fast run at a new shape transparently runs counted
-            to populate those tallies. Requires the engine path.
+            Execute through the engine's fused fast path: per-access
+            traffic accounting is replaced by the plan's memoized
+            per-kernel tallies, applied wholesale (exact, because HMM
+            access patterns are data-independent; asserted bit-identical
+            in the test suite). The first fast run at a new shape
+            transparently runs counted to populate those tallies.
+            Requires the engine path.
         fused:
             With ``fast=True``, selects how each kernel's batched
             schedule executes. ``True`` (default) defers to the
@@ -167,10 +169,10 @@ class SATAlgorithm(abc.ABC):
             per-block compute → scatter over the plan's precomputed index
             arrays); ``"native"`` runs the same schedule lowered to
             compiled megakernels (:mod:`repro.machine.engine.native` —
-            Numba or generated C via cffi, bit-identical, degrading to
-            the numpy schedule with a single warning when no JIT
-            toolchain is available); ``fused=False`` selects the per-task
-            replay path (same accounting, useful for isolation).
+            generated C via cffi, bit-identical, degrading to the numpy
+            schedule with a single warning when the C toolchain is
+            unavailable). Any other value raises
+            :class:`~repro.errors.ConfigurationError`.
         obs:
             Per-run observability toggle. ``True`` records this run's
             metrics and spans into :mod:`repro.obs` even when the
@@ -190,6 +192,7 @@ class SATAlgorithm(abc.ABC):
         if self.requires_block_multiple:
             require_multiple(rows, params.width, what="row count")
             require_multiple(cols, params.width, what="column count")
+        fused = resolve_fused(fused)
         scope = (
             obs_runtime.enabled_scope(obs) if obs is not None
             else contextlib.nullcontext()
@@ -214,26 +217,19 @@ class SATAlgorithm(abc.ABC):
                 )
             if executor.gm.has(MATRIX_BUFFER):
                 raise ShapeError(f"executor already holds a {MATRIX_BUFFER!r} buffer")
-            if fast and plan is not None:
-                # Resolve the backend now so the observability mode tag
-                # names the path that will actually execute: a "native"
-                # request on a host without a JIT toolchain runs (and is
-                # recorded as) the numpy fused path.
-                from ..machine.engine.native import ensure_backend, resolve_fused
-
-                fused = resolve_fused(fused)
-                if fused == "native" and ensure_backend() is None:
-                    fused = "numpy"
+            if fast and fused == "native" and ensure_backend() is None:
+                # The observability mode tag names the path that will
+                # actually execute: a "native" request on a host without a
+                # C toolchain runs (and is recorded as) the numpy fused path.
+                fused = "numpy"
             if plan is None:
                 mode = "direct"
             elif not fast:
                 mode = "counted"
             elif fused == "native":
                 mode = "native"
-            elif fused:
-                mode = "fused"
             else:
-                mode = "replay"
+                mode = "fused"
             # install() makes the defensive copy; copy=False avoids a second one.
             executor.gm.install(MATRIX_BUFFER, matrix.astype(np.float64, copy=False))
             with obs_runtime.span(

@@ -9,7 +9,7 @@ worker processes** alive for the whole session:
   ``map`` calls; each holds ONE warm
   :class:`~repro.machine.engine.ExecutionEngine` for its whole life, so
   its first matrix at a shape compiles + measures the plan and every
-  later matrix replays it through the fused backend — the per-worker
+  later matrix runs it through the fused backend — the per-worker
   analogue of the plan-cache serving loop. Plans can also be pre-warmed
   explicitly (:meth:`BatchSession.warm`, ``warm_shapes=``) through the
   engine's :meth:`~repro.machine.engine.ExecutionEngine.warm_plan` hook
@@ -57,6 +57,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError, WorkerCrashed
+from ..machine.engine.native import resolve_fused
 from ..machine.params import MachineParams
 from ..obs import runtime as obs
 
@@ -326,6 +327,7 @@ class BatchSession:
         warm_shapes: Sequence[Tuple[int, int]] = (),
         **algo_kwargs,
     ):
+        resolve_fused(fused)  # reject a bad backend before any worker forks
         self.algo = _make_algorithm(algorithm, algo_kwargs)
         self.params = params if params is not None else MachineParams()
         if workers is None:

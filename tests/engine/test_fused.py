@@ -5,8 +5,7 @@ schedules (precomputed gather indices -> batched per-block compute ->
 scatter). Because HMM access patterns are data-independent and every
 fused spec reproduces the per-task floating-point operation order
 exactly, outputs, counters, and traces must match the plan-less counted
-reference *bit for bit* — the same contract the per-task replay path
-already honors, now at kernel granularity.
+reference *bit for bit*.
 """
 
 import numpy as np
@@ -100,17 +99,6 @@ def test_fused_rectangular_inputs(name, rng):
     _assert_identical(fused, reference)
 
 
-def test_fused_false_selects_per_task_replay(rng):
-    """``fused=False`` still runs the fast path, per-task — same results."""
-    a = rng.integers(0, 50, size=(24, 24)).astype(np.float64)
-    algo = make_algorithm("1R1W")
-    engine = fresh_engine()
-    algo.compute(a, PARAMS, engine=engine)
-    fused = algo.compute(a, PARAMS, engine=engine, fast=True, fused=True)
-    replay = algo.compute(a, PARAMS, engine=engine, fast=True, fused=False)
-    _assert_identical(fused, replay)
-
-
 def test_fusion_actually_engages(rng):
     """Guard against silent fallback: the cached plans must carry fused
     specs covering (nearly) all tasks, not degenerate to per-task lists."""
@@ -133,7 +121,7 @@ def test_fusion_actually_engages(rng):
 
 
 def test_fused_run_refuses_faulty_executors():
-    """Like replay, the fused path must never absorb fault/retry state."""
+    """The fused path must never absorb fault/retry state."""
     retrying = HMMExecutor(PARAMS, max_task_retries=2)
     with pytest.raises(ValueError):
         retrying.run_kernel_fused((), 0, AccessCounters())
@@ -186,4 +174,26 @@ def test_fused_counters_are_applied_wholesale():
     assert trace.blocks == 2
     assert executor.counters.coalesced_elements == 640
     assert executor.counters.stride_ops == 5
+    assert executor.counters.kernels_launched == 1
+    assert executor.counters.barriers == 0  # first kernel has no barrier
+
+    # A second launch pays the barrier between the two kernels.
+    executor.run_kernel_fused((), 0, AccessCounters(), label="k2")
+    assert executor.counters.barriers == 1
+    assert executor.counters.kernels_launched == 2
+
+    # Leftover plain block tasks run per task; the tally still lands whole.
+    executor = HMMExecutor(PARAMS)
+    seen = []
+
+    def plain(ctx):
+        seen.append((ctx.block_index, ctx.num_blocks))
+
+    trace = executor.run_kernel_fused((plain, plain), 2, tally, label="k")
+    assert seen == [(0, 2), (1, 2)]  # both tasks ran, in schedule order
+    assert trace.blocks == 2
+    assert trace.counters.as_dict() == tally.as_dict()
+    assert executor.counters.coalesced_elements == 640
+    assert executor.counters.stride_ops == 5
+    assert executor.counters.blocks_executed == 2
     assert executor.counters.kernels_launched == 1

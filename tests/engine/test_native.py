@@ -1,23 +1,28 @@
-"""The native JIT/C backend: selection, lowering, fallback, bit-identity.
+"""The native generated-C backend: selection, lowering, fallback, bit-identity.
 
 Three layers under test:
 
-* **selection** — how ``fused=True/False/"numpy"/"native"`` and the
-  ``REPRO_FUSED_BACKEND`` / ``REPRO_NATIVE_JIT`` environment variables
-  resolve to an execution path, including the graceful-degradation
-  contract: on a host without any JIT toolchain, ``fused="native"``
-  must run the numpy fused path bit-identically, warn exactly once per
-  process, and count the fallback in the observability registry;
+* **selection** — how ``fused=True/"numpy"/"native"`` and the
+  ``REPRO_FUSED_BACKEND`` environment variable resolve to an execution
+  path (anything else is a typed error), including the
+  graceful-degradation contract: on a host where the C toolchain cannot
+  build the kernels, ``fused="native"`` must run the numpy fused path
+  bit-identically, warn exactly once per process, and count the
+  fallback in the observability registry;
 * **lowering** — fused specs become :class:`NativeGroup` bindings, the
   per-plan native schedule is cached like the fused schedule, and
   unknown specs keep their numpy execution (partial lowering stays
   correct);
-* **execution** — where a toolchain exists (cffi + cc in this image,
-  numba in the CI native-backend job), the compiled kernels must be
-  bit-identical to the counted reference, and the individual kernels
-  must match the numpy operations they lower.
+* **execution** — where the toolchain exists (cffi + a C compiler), the
+  compiled kernels must be bit-identical to the counted reference, and
+  the individual kernels must match the numpy operations they lower.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -46,9 +51,20 @@ def fresh_engine() -> ExecutionEngine:
     return ExecutionEngine(cache=PlanCache())
 
 
+@pytest.fixture
+def no_toolchain(monkeypatch, clean_native):
+    """A host whose C toolchain cannot build the generated kernels."""
+
+    def fail():
+        raise RuntimeError("no C compiler found")
+
+    monkeypatch.setattr(native.CffiBackend, "load", staticmethod(fail))
+
+
 class TestBackendSelection:
-    def test_resolve_false_stays_false(self):
-        assert native.resolve_fused(False) is False
+    def test_resolve_false_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="True, 'numpy', or 'native'"):
+            native.resolve_fused(False)
 
     def test_resolve_true_defaults_to_numpy(self, monkeypatch):
         monkeypatch.delenv(native.BACKEND_ENV_VAR, raising=False)
@@ -74,19 +90,21 @@ class TestBackendSelection:
         with pytest.raises(ConfigurationError):
             native.resolve_fused(True)
 
-    def test_invalid_jit_preference_raises(self, monkeypatch, clean_native):
-        monkeypatch.setenv(native.JIT_ENV_VAR, "tcc")
-        with pytest.raises(ConfigurationError):
-            native.ensure_backend()
+    def test_compute_rejects_fused_false(self, rng):
+        a = rng.integers(0, 9, size=(16, 16)).astype(np.float64)
+        algo = make_algorithm("1R1W")
+        engine = fresh_engine()
+        algo.compute(a, PARAMS, engine=engine)
+        with pytest.raises(ConfigurationError, match="True, 'numpy', or 'native'"):
+            algo.compute(a, PARAMS, engine=engine, fast=True, fused=False)
 
 
 class TestGracefulFallback:
-    """fused="native" without a JIT toolchain: the degradation contract."""
+    """fused="native" without a C toolchain: the degradation contract."""
 
     def test_fallback_is_bit_identical_warns_once_and_counts(
-        self, monkeypatch, clean_native, rng
+        self, no_toolchain, rng
     ):
-        monkeypatch.setenv(native.JIT_ENV_VAR, "none")  # no-toolchain host
         a = rng.integers(0, 50, size=(16, 16)).astype(np.float64)
         algo = make_algorithm("2R1W")
         engine = fresh_engine()
@@ -116,11 +134,11 @@ class TestGracefulFallback:
         assert fallbacks >= 2  # every degraded compute is counted
         stats = native_stats()
         assert stats["available"] is False
-        assert "none" in stats["failure"]
+        assert stats["toolchain"] is None
+        assert stats["failure"] == "cffi: no C compiler found"
 
-    def test_fallback_mode_is_reported_as_fused(self, monkeypatch, clean_native, rng):
+    def test_fallback_mode_is_reported_as_fused(self, no_toolchain, rng):
         # The observability mode tag must name the path that actually ran.
-        monkeypatch.setenv(native.JIT_ENV_VAR, "none")
         a = rng.integers(0, 50, size=(16, 16)).astype(np.float64)
         algo = make_algorithm("1R1W")
         engine = fresh_engine()
@@ -193,7 +211,7 @@ class TestLowering:
     def test_native_schedule_cached_on_plan(self):
         available = native.ensure_backend()
         if available is None:
-            pytest.skip("no JIT toolchain in this environment")
+            pytest.skip("no C toolchain in this environment")
         algo = make_algorithm("2R1W")
         engine = fresh_engine()
         a = np.arange(64, dtype=np.float64).reshape(8, 8)
@@ -206,7 +224,7 @@ class TestLowering:
 
 
 needs_toolchain = pytest.mark.skipif(
-    not native.native_available(), reason="no JIT toolchain in this environment"
+    not native.native_available(), reason="no C toolchain in this environment"
 )
 
 
@@ -238,6 +256,34 @@ class TestNativeExecution:
                 == 1
             )
 
+    def test_forked_workers_run_native_after_the_parent_did(self):
+        # libgomp's thread pool does not survive fork(): without the
+        # serial fallback the workers wait forever, so the scenario runs
+        # in its own bounded process group.
+        script = textwrap.dedent("""
+            import numpy as np
+            from repro.machine.params import MachineParams
+            from repro.sat import make_algorithm, sat_batch_list
+            params = MachineParams(width=8, latency=16)
+            a = np.arange(4096, dtype=np.float64).reshape(64, 64)
+            algo = make_algorithm("1R1W")
+            algo.compute(a, params)
+            native = algo.compute(a, params, fast=True, fused="native")
+            sats = sat_batch_list([a] * 4, algo, params, workers=2, fused="native")
+            assert all(np.array_equal(s, native.sat) for s in sats)
+        """)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("forked native workers hung")
+        assert proc.returncode == 0, err
+
     def test_stats_report_lowered_groups(self, rng):
         before = native_stats()["lowered_groups"]
         a = rng.integers(0, 50, size=(16, 16)).astype(np.float64)
@@ -248,7 +294,7 @@ class TestNativeExecution:
         after = native_stats()
         assert after["available"] is True
         assert after["lowered_groups"] > before
-        assert after["toolchain"] in ("numba", "cffi")
+        assert after["toolchain"] == "cffi"
 
 
 @needs_toolchain

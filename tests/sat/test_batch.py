@@ -6,12 +6,13 @@ throughput claim lives in ``benchmarks/bench_throughput.py`` where it is
 gated only on hosts with enough cores.
 """
 
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError, WorkerCrashed
+from repro.errors import ConfigurationError, ShapeError, WorkerCrashed
 from repro.machine.params import MachineParams
 from repro.sat import BatchSession, batch_counters, sat_batch, sat_batch_list
 from repro.obs import runtime as obs
@@ -60,6 +61,13 @@ def test_non_2d_entries_are_rejected(rng):
         _stack_batch([np.zeros((4, 4)), np.zeros(4)])
     with pytest.raises(ShapeError):
         _stack_batch([np.zeros((0, 4))])
+
+
+def test_invalid_fused_is_rejected_before_workers_fork():
+    before = len(multiprocessing.active_children())
+    with pytest.raises(ConfigurationError, match="True, 'numpy', or 'native'"):
+        BatchSession("1R1W", PARAMS, workers=2, fast=True, fused="fortran")
+    assert len(multiprocessing.active_children()) == before
 
 
 def test_algorithm_kwargs_and_instances(rng):
