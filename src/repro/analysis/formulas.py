@@ -5,10 +5,13 @@ Two layers:
 * ``paper_*`` functions give the paper's dominant-term expressions
   (Lemmas 2-5, Theorems 6-7) — good for intuition and documentation.
 * :func:`predicted_counters` computes the *exact* counts this package's
-  implementations produce, by mirroring their control flow arithmetically
-  (no data is moved). Tests assert measured == predicted at many
-  ``(algorithm, n, w)`` points, which both validates the implementations
-  against the model and lets Table II evaluate 18K-size costs instantly.
+  implementations produce, as closed forms derived from their kernel
+  structure (no data is moved, no block is enumerated; every predictor
+  is O(1) in ``n`` except 2R1W's O(log n) recursion). Tests assert
+  measured == predicted at many ``(algorithm, n, w)`` points, and kR1W's
+  closed form against a block-enumerating oracle, which both validates the
+  implementations against the model and lets Table II evaluate 18K-size
+  costs instantly.
 
 Counts returned are ``(C, S, K)``: coalesced element accesses, stride
 operations, and kernel launches (barriers are ``K - 1``).
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..layout.blocking import BlockGrid
+from ..layout.blocking import triangle_diagonals
 from ..machine.cost import cost_formula
 from ..machine.params import MachineParams
 from ..util.validation import require_multiple
@@ -101,22 +104,14 @@ def counts_2r1w(n: int, w: int) -> PredictedCounts:
     return PredictedCounts(coalesced=coalesced, stride=stride, kernels=kernels)
 
 
-def _block_stage_traffic(bi: int, bj: int, m: int, w: int) -> int:
-    """Coalesced words moved by one 1R1W block-stage task."""
-    c = 2 * w * w  # block read + write
-    if bi > 0:
-        c += w + (1 if bj > 0 else 0)  # corner-prefixed bottom row above
-    if bj > 0:
-        c += w + (1 if bi > 0 else 0)  # corner-prefixed right column left
-    if bi < m - 1:
-        c += w  # publish bottom row
-    if bj < m - 1:
-        c += w  # publish right column
-    return c
-
-
 def counts_1r1w(n: int, w: int) -> PredictedCounts:
-    """1R1W: closed form over all blocks (see ``_block_stage_traffic``)."""
+    """1R1W: closed form over all blocks.
+
+    Each block task moves ``2w^2`` (block read + write), a corner-prefixed
+    ``w + 1`` read per neighbour above or left (``w`` at a matrix edge,
+    where the corner prefix is absent), and ``w`` per boundary row it
+    publishes for a neighbour below or right.
+    """
     m = n // w
     coalesced = (
         2 * m * m * w * w  # block reads + writes
@@ -127,62 +122,60 @@ def counts_1r1w(n: int, w: int) -> PredictedCounts:
 
 
 def counts_kr1w(n: int, w: int, p: float) -> PredictedCounts:
-    """kR1W: exact mirror of the triangle + band phase structure."""
+    """kR1W in closed form over ``m = n/w``, ``t`` and ``w``.
+
+    With ``t = triangle_diagonals(m, p)`` anti-diagonals per corner
+    triangle, ``t = 0`` is exactly 1R1W. Otherwise each triangle is a
+    staircase of ``T = t(t+1)/2`` blocks whose ``t`` block-columns and
+    ``t`` block-rows are contiguous runs of lengths ``t, t-1, ..., 1``,
+    run in four kernels (see :mod:`repro.sat.triangle2r1w`):
+
+    * sums: ``T (w^2 + 2w)`` (block read, CS/RS row writes);
+    * scans: ``2Lw`` per column run and per row run, ``4wT`` in all, plus
+      ``L`` stride writes of ``t`` per column run (``T``);
+    * corners: ``2L`` per row run, ``2T`` in all;
+    * fix: ``T (2w^2 + 2w)`` plus one stride corner read per block
+      (``T``), plus ``w`` per published aux row.
+
+    The top-left triangle (``t <= m-1``) touches neither terminal edge, so
+    it publishes ``2wT``: ``C = 3w^2 T + 10wT + 2T``, ``S = 2T``. The seeded
+    bottom-right triangle starts every run at block index ``m-t >= 1``, so
+    each of its ``2t`` scans reads a ``w + 1`` seed, each corner run
+    strides one seed read, and its ``t`` blocks on each terminal edge skip
+    a publish: ``C = 3w^2 T + 10wT + 2T + 2t``, ``S = 2T + t``.
+
+    The band is 1R1W (``C_1 = counts_1r1w(n, w).coalesced``) less the
+    ``2t`` clipped stages. A stage of ``L`` blocks moves
+    ``2w^2 L + (4L - 2)w + 2c`` (see :func:`counts_1r1w`), where
+    ``c`` counts blocks with both an upper and a left neighbour:
+    ``max(L - 2, 0)`` on the top stages (``L = s + 1 <= m - 1``) and
+    ``L`` on the bottom stages. Over ``L = 1..t`` the top stages sum to
+    ``2w^2 T + 4wT - 2wt + (t-1)(t-2)`` and the bottom ones to
+    ``2w^2 T + 4wT - 2wt + 2T``. Adding the triangles, with
+    ``2T = t^2 + t``:
+
+    * ``C = C_1 + 2w^2 T + 12wT + 4wt + 6t - 2``
+    * ``S = 4T + t``
+    * ``K = 8 + (2m - 1 - 2t) = 2m + 7 - 2t``
+    """
+    if p is None:
+        raise ConfigurationError("kR1W requires the mixing parameter p")
+    p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
-    grid = BlockGrid(n, w)
-    m = grid.blocks_per_side
-    t = int(round(p * (m - 1)))
-    top, mid, bottom = grid.triangle_partition(p)
-    coalesced = 0
-    stride = 0
-    kernels = 0
-
-    for blocks, seeded in ((top, False), (bottom, True)):
-        if not blocks:
-            continue
-        kernels += 4
-        n_blocks = len(blocks)
-        # sums phase: block read + CS/RS row writes.
-        coalesced += n_blocks * (w * w + 2 * w)
-        # scans phase: runs by column and by row.
-        from ..sat.triangle2r1w import _runs_by_column, _runs_by_row
-
-        col_runs = _runs_by_column(blocks)
-        row_runs = _runs_by_row(blocks)
-        for bj, run in col_runs.items():
-            length = len(run)
-            coalesced += 2 * length * w  # CS strip read + colAbove write
-            stride += length  # t written down a T-buffer column
-            if seeded:
-                coalesced += w + 1 if bj > 0 else w
-        for bi, run in row_runs.items():
-            length = len(run)
-            coalesced += 2 * length * w  # RS strip read + rowLeft write
-            if seeded:
-                coalesced += w + 1 if bi > 0 else w
-        # corners phase: per row-run, t read + G write (+ seed).
-        for bi, run in row_runs.items():
-            length = len(run)
-            coalesced += 2 * length
-            if seeded and run.start > 0:
-                stride += 1
-        # fix phase: block read/write + top/left rows + corner + aux rows.
-        for bi, bj in blocks:
-            coalesced += 2 * w * w + 2 * w
-            stride += 1
-            if bi < m - 1:
-                coalesced += w
-            if bj < m - 1:
-                coalesced += w
-
-    # middle band: 1R1W stages t .. 2(m-1) - t.
-    for stage in range(t, 2 * (m - 1) - t + 1):
-        kernels += 1
-        for bi, bj in grid.diagonal(stage):
-            coalesced += _block_stage_traffic(bi, bj, m, w)
-
-    return PredictedCounts(coalesced=coalesced, stride=stride, kernels=kernels)
+    require_multiple(n, w)
+    band = counts_1r1w(n, w)
+    m = n // w
+    t = triangle_diagonals(m, p)
+    if t == 0:
+        return band
+    tri = t * (t + 1) // 2
+    return PredictedCounts(
+        coalesced=band.coalesced
+        + 2 * w * w * tri + 12 * w * tri + 4 * w * t + 6 * t - 2,
+        stride=4 * tri + t,
+        kernels=2 * m + 7 - 2 * t,
+    )
 
 
 _PREDICTORS = {
@@ -202,7 +195,7 @@ def predicted_counters(
     if name != "4R1W":
         require_multiple(n, w)
     if name in ("kR1W", "1.25R1W"):
-        return counts_kr1w(n, w, 0.5 if name == "1.25R1W" else float(p))
+        return counts_kr1w(n, w, 0.5 if name == "1.25R1W" else p)
     try:
         return _PREDICTORS[name](n, w)
     except KeyError:
@@ -210,7 +203,11 @@ def predicted_counters(
 
 
 def kr1w_cost(n: int, params: MachineParams, p: float) -> float:
-    """Closed-form kR1W cost used by the analytic tuner."""
+    """kR1W's model cost ``C/w + S + (B+1)l`` from :func:`counts_kr1w`.
+
+    O(1) in ``n``, so the analytic tuner and the autotuner's priors can
+    price every feasible ``p`` of a new shape in microseconds.
+    """
     return counts_kr1w(n, params.width, p).cost(params)
 
 

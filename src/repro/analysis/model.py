@@ -51,8 +51,11 @@ class RuntimeModel:
 def best_p_for_size(model: RuntimeModel, n: int, ps: Optional[Sequence[float]] = None):
     """The mixing parameter minimizing predicted kR1W time at size ``n``.
 
-    Returns ``(p, ms)``. Candidates default to every feasible diagonal
-    count (thinned), as in :func:`repro.sat.tuning.candidate_ps`.
+    Returns ``(p, ms)``. Candidates default to the feasible diagonal
+    counts, thinned to at most 257 as in
+    :func:`repro.sat.tuning.candidate_ps`; each is priced by the O(1)
+    closed form :func:`repro.analysis.formulas.counts_kr1w`, so the whole
+    sweep takes a few milliseconds even at 18K.
     """
     from ..sat.tuning import candidate_ps
 

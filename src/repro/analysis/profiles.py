@@ -16,7 +16,7 @@ import dataclasses
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..layout.blocking import BlockGrid
+from ..layout.blocking import BlockGrid, triangle_diagonals
 from ..machine.params import MachineParams
 from ..util.validation import require_multiple
 
@@ -95,8 +95,9 @@ def profile_4r1w(n: int, params: MachineParams) -> List[KernelProfile]:
 def _diagonal_traffic(s: int, m: int, w: int) -> Tuple[int, int]:
     """(coalesced words, block count) of 1R1W's stage ``s`` in closed form.
 
-    Mirrors :func:`repro.analysis.formulas._block_stage_traffic` summed over
-    the diagonal: per block ``2 w^2`` block traffic, a corner-prefixed
+    The per-block 1R1W stage traffic of
+    :func:`repro.analysis.formulas.counts_1r1w` summed over the diagonal:
+    per block ``2 w^2`` block traffic, a corner-prefixed
     ``w(+1)`` read per interior edge, and ``w`` published boundary words per
     non-terminal edge.
     """
@@ -211,7 +212,7 @@ def profile_kr1w(n: int, params: MachineParams, p: float) -> List[KernelProfile]
     w = params.width
     m = n // w
     BlockGrid(n, w)  # shape validation
-    t = int(round(p * (m - 1)))
+    t = triangle_diagonals(m, p)
     band = []
     for stage in range(t, 2 * (m - 1) - t + 1):
         coalesced, length = _diagonal_traffic(stage, m, w)

@@ -36,8 +36,9 @@ __all__ = ["Arm", "compute_arms", "serving_tile_arms"]
 #: Width candidates offered when the caller did not pin MachineParams.
 DEFAULT_WIDTHS: Tuple[int, ...] = (16, 32)
 
-#: p-grid density for the kR1W family (Table II sweeps the full grid; the
-#: online planner thins it so a decision stays sub-10ms even at 18K).
+#: p-grid density for the kR1W family. Table II sweeps the full grid, and
+#: pricing any p is O(1); the online planner thins it only to bound the
+#: bandit's arm set, since every arm may be measured before it converges.
 DEFAULT_P_CANDIDATES = 9
 
 

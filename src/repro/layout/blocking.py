@@ -16,6 +16,16 @@ from typing import Iterator, List, Tuple
 from ..errors import ShapeError
 
 
+def triangle_diagonals(m: int, p: float) -> int:
+    """Anti-diagonals in each kR1W corner triangle: ``t = round(p (m - 1))``.
+
+    The single rounding rule behind Figure 12's partition; the kR1W
+    algorithm, its kernel profiles and its closed-form access counts all
+    derive ``t`` here so they cannot disagree on a rounding tie.
+    """
+    return int(round(p * (m - 1)))
+
+
 @dataclass(frozen=True)
 class BlockGrid:
     """A grid of ``w x w`` blocks covering an ``n x n_cols`` matrix.
@@ -114,7 +124,7 @@ class BlockGrid:
         if not 0.0 <= p <= 1.0:
             raise ShapeError(f"p must be in [0, 1], got {p}")
         m = self.blocks_per_side  # raises on rectangular grids (kR1W is square-only)
-        t = int(round(p * (m - 1)))
+        t = triangle_diagonals(m, p)
         top, mid, bot = [], [], []
         for i, j in self.all_blocks():
             s = i + j

@@ -82,7 +82,7 @@ def make_block_stage_task(
             read_corner_prefixed(ctx, AUX_RIGHT, bj - 1, r0, w) if bj > 0 else None
         )
         top, left, corner = offsets_from_neighbor_rows(above, left_t)
-        apply_offsets(tile, top, left, corner)
+        apply_offsets(tile, top, left, corner if bi > 0 and bj > 0 else None)
         block_sat_inplace(tile)
         ctx.gm.write_strip(buf, r0, c0, tile.data)
         if bi < grid.block_rows - 1:

@@ -139,7 +139,7 @@ class TwoReadOneWrite(SATAlgorithm):
                 top = ctx.gm.read_hrun(c_buf, bi - 1, c0, w) if bi > 0 else None
                 left = ctx.gm.read_hrun(rt_buf, bj - 1, r0, w) if bj > 0 else None
                 corner = (
-                    ctx.gm.read_at(m_buf, bi - 1, bj - 1) if bi > 0 and bj > 0 else 0.0
+                    ctx.gm.read_at(m_buf, bi - 1, bj - 1) if bi > 0 and bj > 0 else None
                 )
                 apply_offsets(tile, top, left, corner)
                 block_sat_inplace(tile)

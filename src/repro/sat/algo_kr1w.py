@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ShapeError
-from ..layout.blocking import BlockGrid
+from ..layout.blocking import BlockGrid, triangle_diagonals
 from ..machine.macro.executor import HMMExecutor
 from .algo_1r1w import alloc_aux_buffers, block_stage_tasks
 from .base import MATRIX_BUFFER, SATAlgorithm
@@ -80,7 +80,7 @@ class CombinedKR1W(SATAlgorithm):
 
         # (C) middle band, 1R1W diagonal stages.
         m = grid.blocks_per_side
-        t = int(round(self.p * (m - 1)))
+        t = triangle_diagonals(m, self.p)
         for stage in range(t, 2 * (m - 1) - t + 1):
             tasks = block_stage_tasks(MATRIX_BUFFER, grid, grid.diagonal(stage))
             executor.run_kernel(tasks, label=f"C:stage{stage}")

@@ -69,7 +69,7 @@ def apply_offsets(
     tile: SharedArray,
     top: Optional[np.ndarray] = None,
     left: Optional[np.ndarray] = None,
-    corner: float = 0.0,
+    corner: Optional[float] = None,
 ) -> None:
     """Figure 9's Step 3-1: fold boundary offsets into a staged block.
 
@@ -78,6 +78,11 @@ def apply_offsets(
     global row ``r0 + i``; ``corner`` the sum of everything strictly
     above-left. After :func:`block_sat_inplace`, the block then holds its
     final global SAT values.
+
+    Each offset is ``None`` when the block has no such neighbour. The
+    shared-memory charge follows that position alone, never the values,
+    so the tally a plan memoizes is the same for every input; a zero
+    corner is charged but skipped in the arithmetic.
     """
     data = tile.data
     h, w = data.shape
@@ -88,8 +93,9 @@ def apply_offsets(
     if left is not None:
         data[:, 0] += left
         writes += h
-    if corner:
-        data[0, 0] += corner
+    if corner is not None:
+        if corner:
+            data[0, 0] += corner
         writes += 1
     tile.charge(reads=writes, writes=writes)
 

@@ -229,7 +229,7 @@ def triangle_phases(
             top = ctx.gm.read_hrun(COL_ABOVE_BUF, bi, c0, w)
             left = ctx.gm.read_hrun(ROW_LEFT_BUF, bj, r0, w)
             corner = float(ctx.gm.read_at(G_BUF, bi, bj))
-            apply_offsets(tile, top, left, corner)
+            apply_offsets(tile, top, left, corner if bi > 0 and bj > 0 else None)
             block_sat_inplace(tile)
             ctx.gm.write_strip(buf, r0, c0, tile.data)
             if bi < m - 1:

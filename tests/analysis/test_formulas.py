@@ -116,8 +116,8 @@ class TestInterface:
 
     def test_kr1w_requires_p(self):
         p = MachineParams(width=8, latency=3)
-        with pytest.raises(TypeError):
-            predicted_counters("kR1W", 16, p)  # p=None -> float(None)
+        with pytest.raises(ConfigurationError, match="p"):
+            predicted_counters("kR1W", 16, p)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):

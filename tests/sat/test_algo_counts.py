@@ -7,9 +7,11 @@ ties the implementations to the formulas Table II's 18K-scale rows are
 computed from.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.formulas import predicted_counters
+from repro.machine.engine import ExecutionEngine, PlanCache
 from repro.machine.params import MachineParams
 from repro.sat import CombinedKR1W, make_algorithm
 from repro.util.matrices import random_matrix
@@ -61,3 +63,28 @@ def test_transactions_never_below_element_bound():
         res = make_algorithm(name).compute(random_matrix(16), params)
         c = res.counters
         assert c.coalesced_transactions >= -(-c.coalesced_elements // params.width)
+
+
+BLOCK_ALGOS = [
+    ("1R1W", {}),
+    ("2R1W", {}),
+    ("1.25R1W", {}),
+    ("kR1W", {"p": 0.7}),
+]
+
+
+@pytest.mark.parametrize("name,kwargs", BLOCK_ALGOS)
+def test_tally_is_independent_of_the_data(name, kwargs):
+    """Zero corners are charged like non-zero ones, so the tally a counted
+    run memoizes holds for every later fast run at that plan key."""
+    params = MachineParams()
+    n = 4 * params.width
+    zeros, ones = np.zeros((n, n)), np.ones((n, n))
+    algo = make_algorithm(name, **kwargs)
+    on_ones = algo.compute(ones, params, engine=ExecutionEngine(PlanCache()))
+    engine = ExecutionEngine(PlanCache())
+    on_zeros = algo.compute(zeros, params, engine=engine)
+    assert on_zeros.counters == on_ones.counters
+    fast = algo.compute(ones, params, engine=engine, fast=True, fused="numpy")
+    assert np.array_equal(fast.sat, on_ones.sat)
+    assert fast.counters == on_ones.counters
