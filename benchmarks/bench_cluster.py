@@ -25,13 +25,12 @@ writes them to ``results/BENCH_cluster.json``:
    checkpoint store. Gate: the restarted worker answers bit-exactly.
 5. **Coalesced fan-out** — per-rectangle cost of the batched
    ``ShardRouter.region_sums`` path (corner coalescing + pipelined
-   multi-point RPC over the shared-memory lookup ring) vs a scalar
-   ``region_sum`` per rect, for both the ring and the pipe transport,
-   against the local-store price. Gates: batched results bit-identical
-   to ``queries.region_sums`` (values *and* dtype) on both transports,
-   and the coalesced per-rect overhead <= 8x a local region_sum — the
-   headline that the shards now pay for themselves (the scalar fan-out
-   baseline was ~24x).
+   multi-point pipe RPC in the packed point/value codec) vs a scalar
+   ``region_sum`` per rect, against the local-store price. Gates:
+   batched results bit-identical to ``queries.region_sums`` (values
+   *and* dtype), and the coalesced per-rect overhead <= 8x a local
+   region_sum — the headline that the shards now pay for themselves
+   (the scalar fan-out baseline was ~24x).
 6. **Concurrent load** — aggregate ``region_sums`` throughput with many
    client threads driving the 4-worker cluster vs the same workload
    answered serially by a single-process local store. Gate: clustered
@@ -261,7 +260,7 @@ def bench_rehydration(n: int, tile: int) -> Dict[str, object]:
 def bench_coalesced_fanout(
     n: int, tile: int, reps: int, batch: int
 ) -> Dict[str, object]:
-    """Batched ``region_sums`` per-rect cost vs scalar, ring vs pipe.
+    """Batched ``region_sums`` per-rect cost vs scalar ``region_sum``.
 
     The batched path coalesces all ``4 * batch`` rectangle corners into
     one multi-point lookup per owning worker and fans the RPCs out
@@ -275,39 +274,23 @@ def bench_coalesced_fanout(
     rects = np.array(list(_random_rects(rng, n, batch)), dtype=np.int64)
     scalar_rects = list(_random_rects(rng, n, 4 * reps)) * 2
     want = region_sums(local, rects)
+    supervisor = WorkerSupervisor(WORKERS)
+    router = ShardRouter(supervisor, replicas=REPLICAS)
+    try:
+        router.ingest("bench", a, tile=tile)
+        it = iter(scalar_rects)
 
-    def measure(use_ring: bool) -> Dict[str, object]:
-        supervisor = WorkerSupervisor(WORKERS, use_ring=use_ring)
-        router = ShardRouter(supervisor, replicas=REPLICAS)
-        try:
-            router.ingest("bench", a, tile=tile)
-            it = iter(scalar_rects)
+        def scalar() -> None:
+            router.region_sum("bench", *next(it))
 
-            def scalar() -> None:
-                router.region_sum("bench", *next(it))
+        def batched() -> None:
+            router.region_sums("bench", rects)
 
-            def batched() -> None:
-                router.region_sums("bench", rects)
-
-            scalar_sec = _median_time(scalar, reps)
-            batched_sec = _median_time(batched, reps)
-            got = router.region_sums("bench", rects)
-            transport = supervisor.stats()
-        finally:
-            router.close()
-        return {
-            "transport": "ring" if use_ring else "pipe",
-            "scalar_usec": scalar_sec * 1e6,
-            "batched_usec_per_rect": batched_sec / batch * 1e6,
-            "ring_lookups": sum(transport["ring_lookups"].values()),
-            "pipe_lookups": sum(transport["pipe_lookups"].values()),
-            "bit_identical": bool(
-                np.array_equal(got, want) and got.dtype == want.dtype
-            ),
-        }
-
-    ring = measure(True)
-    pipe = measure(False)
+        scalar_sec = _median_time(scalar, reps)
+        batched_sec = _median_time(batched, reps)
+        got = router.region_sums("bench", rects)
+    finally:
+        router.close()
     it_l = iter(scalar_rects)
 
     def local_scalar() -> None:
@@ -319,12 +302,15 @@ def bench_coalesced_fanout(
         "tile": tile,
         "batch": batch,
         "local_usec": local_sec * 1e6,
-        "ring": ring,
-        "pipe": pipe,
-        # The headline: batched-over-ring per-rect cost vs a local
-        # scalar region_sum. This is the number the <= 8x gate bounds.
-        "coalesced_overhead_x": ring["batched_usec_per_rect"] / (local_sec * 1e6),
-        "scalar_overhead_x": ring["scalar_usec"] / (local_sec * 1e6),
+        "scalar_usec": scalar_sec * 1e6,
+        "batched_usec_per_rect": batched_sec / batch * 1e6,
+        "bit_identical": bool(
+            np.array_equal(got, want) and got.dtype == want.dtype
+        ),
+        # The headline: batched per-rect cost vs a local scalar
+        # region_sum. This is the number the <= 8x gate bounds.
+        "coalesced_overhead_x": batched_sec / batch / local_sec,
+        "scalar_overhead_x": scalar_sec / local_sec,
     }
 
 
@@ -453,8 +439,7 @@ def run_cluster_benchmark(
 
 #: Ceiling on the coalesced batched per-rect cost vs a local region_sum.
 #: The scalar fan-out baseline was ~24x; coalescing the corners into one
-#: multi-point ring RPC per worker must bring the amortized price under
-#: this.
+#: multi-point RPC per worker must bring the amortized price under this.
 COALESCED_OVERHEAD_GATE = 8.0
 
 
@@ -492,12 +477,10 @@ def check_gates(
     if not results["rehydration"]["bit_identical_after_restart"]:
         failures.append("restarted worker served wrong values after re-hydration")
     co = results["coalesced"]
-    for side in ("ring", "pipe"):
-        if not co[side]["bit_identical"]:
-            failures.append(
-                f"coalesced region_sums over the {side} transport disagreed "
-                "with the local tile aggregates"
-            )
+    if not co["bit_identical"]:
+        failures.append(
+            "coalesced region_sums disagreed with the local tile aggregates"
+        )
     if co["coalesced_overhead_x"] > COALESCED_OVERHEAD_GATE:
         failures.append(
             f"coalesced batched region_sums costs "
@@ -577,11 +560,8 @@ def summary_text(results: Dict[str, object]) -> str:
         f"{rh['restart_msec']:.1f}ms, "
         f"bit-identical={rh['bit_identical_after_restart']}",
         f"coalesced fan-out (n={co['n']}, batch={co['batch']}): local "
-        f"{co['local_usec']:.1f}us; scalar ring "
-        f"{co['ring']['scalar_usec']:.0f}us / pipe "
-        f"{co['pipe']['scalar_usec']:.0f}us; batched "
-        f"{co['ring']['batched_usec_per_rect']:.1f}us/rect ring / "
-        f"{co['pipe']['batched_usec_per_rect']:.1f}us/rect pipe "
+        f"{co['local_usec']:.1f}us; scalar {co['scalar_usec']:.0f}us; "
+        f"batched {co['batched_usec_per_rect']:.1f}us/rect "
         f"({co['coalesced_overhead_x']:.1f}x local, scalar was "
         f"{co['scalar_overhead_x']:.1f}x)",
         f"concurrent load ({cl['threads']} threads x {cl['rounds']} rounds "

@@ -114,10 +114,9 @@ class ExecutionEngine:
         per-kernel traffic tallies; one ``fast`` probe builds the fused
         schedule (and, with ``fused="native"``, lowers + compiles the
         megakernels) so the *first measured* request at this shape already
-        runs the hot path. The probe is all-ones, not zeros: the one
-        value-sensitive micro-optimization in the block code skips the
-        corner-offset write for exactly-0.0 corrections, which an
-        all-zeros probe would hit everywhere and leave out of the tallies.
+        runs the hot path. The probe's values do not matter: every
+        access is tallied by position, so the plan's tallies are the
+        same for any input of this shape.
 
         Returns ``{"algorithm", "rows", "cols", "compiled"}`` where
         ``compiled`` says whether this call did the compile (False means

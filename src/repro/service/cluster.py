@@ -35,12 +35,11 @@ small ones ride inline. Either way the payload carries its CRC-32 and
 the worker verifies before installing — a torn or corrupted checkpoint
 is rejected with a typed error, never served.
 
-Hot *lookup* traffic takes a fourth piece, :class:`LookupRing`: a
-fixed-slot shared-memory request/response ring per worker (raw int64
-point batches in, raw value arrays out — no pickle on either side), with
-a 1-byte doorbell pipe so an idle worker blocks instead of busy-polling.
-The control pipe stays the fallback for oversized or slot-starved
-requests and everything that is not a lookup.
+Every request, corner lookups included, travels over the worker's one
+control pipe. Lookups carry a packed binary payload (raw int64 points
+in, raw values plus the dataset's dtype tag and version out) instead of
+pickled arrays, and the supervisor packs them the same way in inline
+mode, so the deterministic tests exercise the real wire format.
 
 Consistency contract: shard installs and update pushes are serialized by
 the supervisor's topology lock, so a worker is only marked alive when
@@ -51,17 +50,14 @@ lock (a mid-rehydration query simply fails over).
 from __future__ import annotations
 
 import logging
-import os
 import pickle
-import platform
-import selectors
+import select
 import struct
 import threading
-import time
 import zlib
 from dataclasses import dataclass, field
 from multiprocessing import get_context, resource_tracker, shared_memory
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,8 +68,6 @@ from .store import Dataset
 
 __all__ = [
     "CheckpointStore",
-    "LookupRing",
-    "RingUnavailable",
     "ShardCheckpoint",
     "ShardWorkerState",
     "WorkerSupervisor",
@@ -91,27 +85,10 @@ ALIVE = "alive"
 DOWN = "down"
 RESTARTING = "restarting"
 
-#: Lookup-ring geometry. Eight slots cover the router's fan-out
-#: concurrency comfortably (≤ 4 corner groups in flight per worker plus
-#: coalesced batches); 128 KiB of request payload fits the coalescer's
-#: default 4096-point batch (16 bytes/point) with room for the name.
 #: Point batches at or under this size take scalar (non-vectorized)
-#: serving and list (non-ndarray) pipe encoding: a single rectangle's
-#: <= 4 corners does not amortize numpy's and pickle's fixed costs.
+#: serving: a single rectangle's <= 4 corners does not amortize numpy's
+#: fixed per-call costs.
 _SCALAR_LOOKUP_MAX = 8
-
-RING_SLOTS = 8
-RING_SLOT_PAYLOAD = 128 * 1024
-
-#: The lookup ring's lock-free publication protocol (payload and meta
-#: stores issued before a single-byte state flip, reads only after
-#: observing it) is sound only under x86-TSO store ordering. On weakly
-#: ordered machines (aarch64, ppc64le, ...) a worker could observe
-#: REQUEST before the payload bytes land and decode a torn request, so
-#: hot lookups stay on the pipe there.
-_RING_TSO_SAFE = platform.machine().lower() in (
-    "x86_64", "amd64", "i686", "i586", "i486", "i386", "x86",
-)
 
 
 # =============================================================================
@@ -174,9 +151,7 @@ class ShardWorkerState:
             if op == "delta":
                 return self._delta(*msg[1:])
             if op == "lookup":
-                return self._lookup(*msg[1:])
-            if op == "lookup_t":
-                return self._lookup_tiny(*msg[1:])
+                return self._lookup(msg[1])
             if op == "drop":
                 self.datasets.pop(msg[1], None)
                 return ("ok", None)
@@ -222,66 +197,21 @@ class ShardWorkerState:
         ds.version = version
         return ("ok", version)
 
-    def _lookup(self, name: str, points) -> Tuple[Any, ...]:
-        if isinstance(points, list) and len(points) <= _SCALAR_LOOKUP_MAX:
-            reply = self._lookup_tiny(name, points)
-            if reply[0] != "ok":
-                return reply
-            out, version, _dtype = reply[1]
-            return ("ok", (out, version))
-        pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    def _lookup(self, request: bytes) -> Tuple[Any, ...]:
+        """Packed point batch in, ``("ok", packed values)`` out."""
+        name, pts = _unpack_lookup_request(request)
         ok, payload = self._lookup_values(name, pts)
         if not ok:
             return ("error", payload)
         values, version = payload
-        if isinstance(points, np.ndarray):
-            return ("ok", (values, version))
-        # Pipe callers send plain point lists and index the reply like one.
-        return ("ok", (values.tolist(), version))
-
-    def _lookup_tiny(self, name: str, points) -> Tuple[Any, ...]:
-        """List-wire tiny-batch lookup: ``("ok", (values, version, dtype))``.
-
-        Tiny pipe-encoded batches skip numpy entirely: building and
-        tearing down (k, 2) arrays costs more than the lookups. Values
-        travel as Python floats (``.item()`` round-trips every bit), but
-        that alone loses the dataset dtype — a float32 corner rebuilt as
-        float64 stitches at the wrong precision router-side. The dtype
-        tag lets the supervisor restore the exact serving dtype, keeping
-        the pipe path bit-identical to the ring and ndarray paths.
-        """
-        ds = self.datasets.get(name)
-        if ds is None:
-            return ("error", f"no dataset {name!r} installed on this worker")
-        out = []
-        dtype: Optional[str] = None
-        for r, c in points:
-            i_tile, i = divmod(r, ds.t)
-            j_tile, j = divmod(c, ds.t)
-            lin = i_tile * ds.nb_c + j_tile
-            for block in ds.blocks.values():
-                if block.lo <= lin < block.hi:
-                    k = lin - block.lo
-                    # Same addition order as TileAggregates.sat_at.
-                    value = (block.local[k, i, j] + block.col[k, j]
-                             + block.row[k, i] + block.corner[k])
-                    if dtype is None:
-                        dtype = value.dtype.str
-                    out.append(value.item())
-                    break
-            else:
-                return ("error",
-                        f"tile {lin} of {name!r} is outside this worker's "
-                        f"shards — routing bug or stale placement")
-        return ("ok", (out, ds.version, dtype))
+        return ("ok", _pack_lookup_response(values, version))
 
     def _lookup_values(self, name: str,
                        pts: np.ndarray) -> Tuple[bool, Any]:
         """Vectorized point-batch SAT lookup: ``(True, (values, version))``.
 
         ``pts`` is ``(k, 2)`` int64 row/col pairs. Errors come back as
-        ``(False, message)`` so both the pipe protocol and the ring
-        transport can wrap them in their own envelopes.
+        ``(False, message)``.
         """
         ds = self.datasets.get(name)
         if ds is None:
@@ -347,58 +277,24 @@ class ShardWorkerState:
         return (True, (out, ds.version))
 
 
-def _worker_main(worker_id: int, epoch: int, conn,
-                 ring_name: Optional[str] = None,
-                 doorbell_fd: Optional[int] = None) -> None:
-    """Entry point of a shard worker process: recv → handle → send.
-
-    With a lookup ring attached, the loop blocks on *both* the control
-    pipe and the ring's doorbell pipe — a doorbell byte means "scan the
-    ring", so hot lookups are served at shared-memory speed while the
-    worker still costs nothing when idle (no busy polling).
-    """
+def _worker_main(worker_id: int, epoch: int, conn) -> None:
+    """Entry point of a shard worker process: recv → handle → send."""
     state = ShardWorkerState(worker_id, epoch)
-    ring = LookupRing.attach(ring_name) if ring_name is not None else None
-    sel = None
-    if ring is not None and doorbell_fd is not None:
-        # One selector for the process's lifetime — building one per
-        # message (what multiprocessing.connection.wait does) costs more
-        # than a small lookup itself.
-        sel = selectors.DefaultSelector()
-        sel.register(conn, selectors.EVENT_READ)
-        sel.register(doorbell_fd, selectors.EVENT_READ)
-    try:
-        while True:
-            if sel is not None:
-                try:
-                    ready = {key.fileobj for key, _ in sel.select(1.0)}
-                except (OSError, KeyboardInterrupt):
-                    break
-                if doorbell_fd in ready:
-                    try:
-                        os.read(doorbell_fd, 65536)  # drain pending doorbells
-                    except OSError:
-                        pass
-                    ring.serve(lambda payload: _serve_ring_lookup(state, payload))
-                if conn not in ready:
-                    continue
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            break
+        if msg[0] == "shutdown":
             try:
-                msg = conn.recv()
-            except (EOFError, OSError, KeyboardInterrupt):
-                break
-            if msg[0] == "shutdown":
-                try:
-                    conn.send(("ok", None))
-                except (BrokenPipeError, OSError):
-                    pass
-                break
-            try:
-                conn.send(state.handle(msg))
+                conn.send(("ok", None))
             except (BrokenPipeError, OSError):
-                break
-    finally:
-        if ring is not None:
-            ring.close()
+                pass
+            break
+        try:
+            conn.send(state.handle(msg))
+        except (BrokenPipeError, OSError):
+            break
 
 
 # -- blob transport -----------------------------------------------------------
@@ -429,51 +325,18 @@ def _recv_blob(transport: Tuple[Any, ...]) -> bytes:
         shm.close()
 
 
-# =============================================================================
-# Shared-memory lookup ring
-# =============================================================================
+# -- lookup codec -------------------------------------------------------------
 #
-# The hot query path pays for the pipe twice: a pickle on each side and a
-# wakeup through the connection buffer — the latency-`l` term of the
-# paper's C/w + S + (B+1)l cost, charged per round trip. The ring keeps
-# the wakeup (a 1-byte doorbell down an os.pipe, so the worker never busy
-# polls) but replaces the payload path with fixed slots in one
-# multiprocessing.shared_memory segment: the client packs raw int64
-# points into a free slot, flips the slot's state word, and rings the
-# doorbell; the worker answers in place and flips the state back.
-#
-# Slot layout: a 4-byte state word (FREE → REQUEST → RESPONSE → FREE),
-# then a 16-byte meta block (seq, req_len, resp_len, status), then the
-# payload area. Every state transition changes exactly one byte of the
-# little-endian word, so even a byte-wise copy publishes atomically; the
-# payload and meta are always written *before* the state flip and read
-# *after* observing it. That publication order is only guaranteed by
-# x86-TSO store ordering, so the supervisor enables the ring strictly on
-# x86 hosts (_RING_TSO_SAFE) — weakly ordered machines keep the pipe,
-# which is slower but never torn. The seq echo guards
-# against a stale slot ever being read as a fresh answer: a slot whose
-# request timed out is leaked, never recycled — the whole ring is
-# replaced when its worker restarts.
-
-_RING_MAGIC = 0x53415452  # "SATR"
-_RING_HEADER = struct.Struct("<III4x")   # magic, slots, slot_payload
-_SLOT_STATE = struct.Struct("<I")        # the publication word
-_SLOT_META = struct.Struct("<IIII")      # seq, req_len, resp_len, status
-_SLOT_HEADER_BYTES = 24                  # state + meta, padded to 8 bytes
-_SLOT_FREE, _SLOT_REQUEST, _SLOT_RESPONSE = 0, 1, 2
+# Corner lookups are the hot RPC: the latency-`l` term of the paper's
+# C/w + S + (B+1)l cost, charged per round trip. Their payload skips
+# pickling numpy arrays: a request is the dataset name plus raw int64
+# (row, col) pairs, a reply is the raw values plus the dataset's dtype tag
+# and version. The tag rebuilds the exact serving dtype on the supervisor
+# side, so a float32 corner never comes back as float64 and the router's
+# stitch stays bit-identical to the local store.
 
 _REQ_HEADER = struct.Struct("<HI")       # name_len, n_points
 _RESP_HEADER = struct.Struct("<QI8s")    # version, n_values, dtype str
-
-_RING_OK, _RING_ERROR = 0, 1
-
-
-class RingUnavailable(Exception):
-    """This request cannot ride the ring (no free slot / oversized payload).
-
-    Purely an internal signal: the supervisor catches it and falls back
-    to the pipe, which has no size or slot limits.
-    """
 
 
 def _pack_lookup_request(name: str, pts: np.ndarray) -> bytes:
@@ -506,203 +369,6 @@ def _unpack_lookup_response(payload: bytes) -> Tuple[np.ndarray, int]:
         payload, dtype=dtype, count=n_values, offset=_RESP_HEADER.size
     ).copy()
     return values, version
-
-
-def _serve_ring_lookup(state: ShardWorkerState, payload: bytes) -> Tuple[int, bytes]:
-    """Ring request handler: decode, evaluate, encode — never raise."""
-    try:
-        name, pts = _unpack_lookup_request(payload)
-        ok, result = state._lookup_values(name, pts)
-        if not ok:
-            return (_RING_ERROR, result.encode("utf-8"))
-        values, version = result
-        return (_RING_OK, _pack_lookup_response(values, version))
-    except Exception as exc:  # noqa: BLE001 — reply, don't die
-        return (_RING_ERROR, f"{type(exc).__name__}: {exc}".encode("utf-8"))
-
-
-class LookupRing:
-    """Fixed-slot shared-memory request/response ring (one per worker).
-
-    The supervisor (single client process, many threads) owns slot
-    allocation behind a lock; the worker scans all slots on each doorbell.
-    Per slot there is exactly one writer at a time — the client until the
-    state word says REQUEST, the worker until it says RESPONSE — so no
-    cross-process lock exists anywhere on the hot path.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, slots: int,
-                 slot_payload: int, *, owner: bool):
-        self._shm = shm
-        self._owner = owner
-        self.slots = slots
-        self.slot_payload = slot_payload
-        self._slot_size = _SLOT_HEADER_BYTES + slot_payload
-        self._lock = threading.Lock()
-        self._free = list(range(slots))
-        self._seq = 0
-        # With spare cores the worker answers while we spin (~5-20us);
-        # on a crowded host every spin steals the timeslice the worker
-        # needs, so yield almost immediately.
-        self._spin_limit = 50 if (os.cpu_count() or 1) >= 2 else 2
-
-    # -- lifecycle ------------------------------------------------------------
-
-    @classmethod
-    def create(cls, slots: int = RING_SLOTS,
-               slot_payload: int = RING_SLOT_PAYLOAD) -> "LookupRing":
-        size = _RING_HEADER.size + slots * (_SLOT_HEADER_BYTES + slot_payload)
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        _RING_HEADER.pack_into(shm.buf, 0, _RING_MAGIC, slots, slot_payload)
-        ring = cls(shm, slots, slot_payload, owner=True)
-        for slot in range(slots):
-            _SLOT_STATE.pack_into(shm.buf, ring._base(slot), _SLOT_FREE)
-        return ring
-
-    @classmethod
-    def attach(cls, name: str) -> "LookupRing":
-        shm = shared_memory.SharedMemory(name=name)
-        magic, slots, slot_payload = _RING_HEADER.unpack_from(shm.buf, 0)
-        if magic != _RING_MAGIC:
-            shm.close()
-            raise CorruptionDetected(
-                f"shared block {name!r} is not a lookup ring "
-                f"(magic {magic:#x})"
-            )
-        return cls(shm, slots, slot_payload, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def _base(self, slot: int) -> int:
-        return _RING_HEADER.size + slot * self._slot_size
-
-    def close(self) -> None:
-        """Detach from the segment (worker side, or owner after retire)."""
-        try:
-            self._shm.close()
-        except BufferError:
-            # A reader thread still holds a view mid-request; the mapping
-            # leaks until process exit, which is bounded (restarts are
-            # rare and each replaces the ring exactly once).
-            pass
-
-    def retire(self) -> None:
-        """Owner-side teardown: unlink the segment, then detach."""
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-        self.close()
-
-    # -- client side ----------------------------------------------------------
-
-    def request(self, payload: bytes, timeout: float, *,
-                notify: Optional[Callable[[], None]] = None,
-                alive: Optional[Callable[[], bool]] = None) -> Tuple[int, bytes]:
-        """Ship one request, wait for its answer: ``(status, response)``.
-
-        Raises :class:`RingUnavailable` when the payload is oversized or
-        every slot is busy (caller falls back to the pipe), and
-        :class:`TimeoutError` when the worker never answers — the slot is
-        then *leaked* on purpose: the worker may still write a late
-        response into it, so it must never be handed to a new request.
-        ``notify`` is called once, after the request is published (the
-        doorbell); ``alive`` lets the wait fail fast when the worker
-        process dies instead of burning the whole timeout.
-        """
-        if len(payload) > self.slot_payload:
-            raise RingUnavailable(
-                f"payload of {len(payload)} bytes exceeds the ring's "
-                f"{self.slot_payload}-byte slots"
-            )
-        with self._lock:
-            if not self._free:
-                raise RingUnavailable("all ring slots are in flight")
-            slot = self._free.pop()
-            self._seq = (self._seq + 1) & 0xFFFFFFFF or 1  # 0 marks a fresh slot
-            seq = self._seq
-        base = self._base(slot)
-        buf = self._shm.buf
-        try:
-            buf[base + _SLOT_HEADER_BYTES:
-                base + _SLOT_HEADER_BYTES + len(payload)] = payload
-            _SLOT_META.pack_into(buf, base + 4, seq, len(payload), 0, 0)
-            _SLOT_STATE.pack_into(buf, base, _SLOT_REQUEST)
-            if notify is not None:
-                notify()
-            deadline = time.monotonic() + timeout
-            spins = 0
-            spin_limit = self._spin_limit
-            while True:
-                state = _SLOT_STATE.unpack_from(buf, base)[0]
-                if state == _SLOT_RESPONSE:
-                    rseq, _req_len, resp_len, status = _SLOT_META.unpack_from(
-                        buf, base + 4
-                    )
-                    if rseq == seq:
-                        resp = bytes(
-                            buf[base + _SLOT_HEADER_BYTES:
-                                base + _SLOT_HEADER_BYTES + resp_len]
-                        )
-                        _SLOT_STATE.pack_into(buf, base, _SLOT_FREE)
-                        with self._lock:
-                            self._free.append(slot)
-                        return status, resp
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"no ring response within {timeout}s (slot {slot} leaked)"
-                    )
-                spins += 1
-                if spins > spin_limit:
-                    if (spins % 64 == 0 and alive is not None
-                            and not alive()):
-                        # One last look — the answer may have landed just
-                        # before the worker died.
-                        if _SLOT_STATE.unpack_from(buf, base)[0] != _SLOT_RESPONSE:
-                            raise TimeoutError(
-                                "worker process died before answering "
-                                f"(slot {slot} leaked)"
-                            )
-                        continue
-                    # Yield the CPU first — on a host with fewer cores
-                    # than workers the server needs our timeslice to
-                    # answer at all, and sleep(0) hands it over without
-                    # the ~100us timer quantum a real sleep costs. Only
-                    # back off to timed sleeps once the answer is
-                    # genuinely slow.
-                    time.sleep(0 if spins < 4000 else 0.00005)
-        except ValueError as exc:
-            # The segment's buffer was released under us (teardown race).
-            raise TimeoutError(f"lookup ring torn down mid-request: {exc}") from exc
-
-    # -- worker side ----------------------------------------------------------
-
-    def serve(self, handler: Callable[[bytes], Tuple[int, bytes]]) -> int:
-        """Answer every pending request in place; returns requests served."""
-        served = 0
-        buf = self._shm.buf
-        for slot in range(self.slots):
-            base = self._base(slot)
-            if _SLOT_STATE.unpack_from(buf, base)[0] != _SLOT_REQUEST:
-                continue
-            seq, req_len, _resp_len, _status = _SLOT_META.unpack_from(buf, base + 4)
-            payload = bytes(
-                buf[base + _SLOT_HEADER_BYTES: base + _SLOT_HEADER_BYTES + req_len]
-            )
-            status, resp = handler(payload)
-            if len(resp) > self.slot_payload:  # never overrun the slot
-                status = _RING_ERROR
-                resp = (f"ring response of {len(resp)} bytes exceeds the "
-                        f"{self.slot_payload}-byte slot").encode("utf-8")
-            buf[base + _SLOT_HEADER_BYTES:
-                base + _SLOT_HEADER_BYTES + len(resp)] = resp
-            _SLOT_META.pack_into(buf, base + 4, seq, req_len, len(resp), status)
-            _SLOT_STATE.pack_into(buf, base, _SLOT_RESPONSE)
-            served += 1
-        return served
 
 
 # =============================================================================
@@ -818,6 +484,18 @@ class CheckpointStore:
 # =============================================================================
 
 
+def _readable(conn, timeout: float) -> bool:
+    """``conn.poll(timeout)`` without its per-call selector object.
+
+    ``Connection.poll`` builds and tears down a ``selectors`` selector on
+    every call, about a third of the client's CPU per lookup RPC; under
+    concurrent load that CPU is what bounds the router's throughput.
+    """
+    poller = select.poll()
+    poller.register(conn.fileno(), select.POLLIN)
+    return bool(poller.poll(max(0.0, timeout) * 1000.0))
+
+
 @dataclass
 class WorkerHandle:
     """Supervisor-side record of one worker slot."""
@@ -832,14 +510,6 @@ class WorkerHandle:
     missed_pings: int = 0
     lookups_served: int = 0
     restarts: int = 0
-    ring: Optional[LookupRing] = None
-    doorbell_w: int = -1
-    #: Guards ``doorbell_w``/``ring`` lifecycle against in-flight ring
-    #: notifies — a tiny critical section, never held across an RPC (so
-    #: it cannot serialize behind ``lock``'s pipe round trips).
-    ring_lock: threading.Lock = field(default_factory=threading.Lock)
-    ring_lookups: int = 0
-    pipe_lookups: int = 0
 
 
 class WorkerSupervisor:
@@ -873,9 +543,6 @@ class WorkerSupervisor:
         auto_restart: bool = True,
         restart_backoff: Optional[ExponentialBackoff] = None,
         max_restart_attempts: int = 3,
-        use_ring: bool = True,
-        ring_slots: int = RING_SLOTS,
-        ring_slot_bytes: int = RING_SLOT_PAYLOAD,
     ):
         if workers < 1:
             raise ConfigurationError(f"cluster needs >= 1 worker, got {workers}")
@@ -890,8 +557,6 @@ class WorkerSupervisor:
             base=0.01, factor=2.0, cap=0.25
         )
         self.max_restart_attempts = max_restart_attempts
-        self.ring_slots = ring_slots
-        self.ring_slot_bytes = ring_slot_bytes
         #: worker_id -> [(dataset, range_id), ...], maintained by the router.
         self.assignments: Dict[int, List[Tuple[str, int]]] = {
             w: [] for w in range(workers)
@@ -902,22 +567,6 @@ class WorkerSupervisor:
         #: take it.
         self.topology_lock = threading.RLock()
         self._ctx = get_context()
-        # The ring relies on the doorbell pipe fds surviving into the
-        # child (so it needs the fork start method, the default on
-        # Linux) and on x86-TSO store ordering for its fence-free
-        # publication protocol; elsewhere hot lookups simply stay on
-        # the pipe.
-        self.use_ring = (bool(use_ring) and not inline
-                         and self._ctx.get_start_method() == "fork"
-                         and _RING_TSO_SAFE)
-        # Transport split for lookups: bulk point batches always take
-        # the ring (no pickling, payload stays in shared memory), but a
-        # tiny batch — one rectangle's corners — only wins there when
-        # the workers have cores to answer on while the client polls.
-        # On a crowded host the pipe's blocking recv gets a directed
-        # kernel wakeup the poll loop cannot match, so small lookups
-        # stay on the pipe.
-        self._ring_small_lookups = (os.cpu_count() or 1) > workers
         if not inline:
             # Start the shared-memory resource tracker *before* forking any
             # worker. Forked workers then inherit it, so their attach-time
@@ -950,48 +599,18 @@ class WorkerSupervisor:
         if self.inline:
             handle.inline_state = ShardWorkerState(handle.worker_id, handle.epoch)
         else:
-            self._close_ring(handle)  # a dead epoch's ring is never reused
-            ring: Optional[LookupRing] = None
-            doorbell_r = -1
-            if self.use_ring:
-                ring = LookupRing.create(self.ring_slots, self.ring_slot_bytes)
-                doorbell_r, doorbell_w = os.pipe()
-                os.set_blocking(doorbell_w, False)
-                with handle.ring_lock:
-                    handle.doorbell_w = doorbell_w
             parent, child = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(handle.worker_id, handle.epoch, child,
-                      ring.name if ring is not None else None,
-                      doorbell_r if ring is not None else None),
+                args=(handle.worker_id, handle.epoch, child),
                 daemon=True,
                 name=f"repro-shard-worker-{handle.worker_id}",
             )
             process.start()
             child.close()
-            if doorbell_r != -1:
-                os.close(doorbell_r)  # the child holds the only read end now
             handle.process = process
             handle.conn = parent
-            handle.ring = ring
         handle.state = ALIVE
-
-    def _close_ring(self, handle: WorkerHandle) -> None:
-        # Detach the fd/ring from the handle *under the ring lock* before
-        # closing: an in-flight _rpc_ring notify re-reads doorbell_w under
-        # the same lock, so it can never write to an fd number the OS has
-        # already recycled for a new epoch's pipes.
-        with handle.ring_lock:
-            ring, handle.ring = handle.ring, None
-            doorbell_w, handle.doorbell_w = handle.doorbell_w, -1
-        if ring is not None:
-            ring.retire()
-        if doorbell_w != -1:
-            try:
-                os.close(doorbell_w)
-            except OSError:
-                pass
 
     def stop(self) -> None:
         """Stop the monitor and terminate every worker."""
@@ -1017,7 +636,6 @@ class WorkerSupervisor:
                         handle.process.kill()
                         handle.process.join(timeout=2.0)
                     handle.process = None
-                self._close_ring(handle)
             handle.state = DOWN
 
     def __enter__(self) -> "WorkerSupervisor":
@@ -1044,102 +662,23 @@ class WorkerSupervisor:
             )
         timeout = self.rpc_timeout if timeout is None else timeout
         op = msg[0]
-        is_lookup = op == "lookup"
+        if op == "lookup":
+            _op, name, points = msg
+            pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+            msg = ("lookup", _pack_lookup_request(name, pts))
         if self.inline:
             reply = self._rpc_inline(handle, msg)
-        elif (is_lookup and handle.ring is not None
-              and (self._ring_small_lookups
-                   or len(msg[2]) > _SCALAR_LOOKUP_MAX)):
-            reply = self._rpc_ring(handle, msg, timeout)
         else:
-            if is_lookup:
-                handle.pipe_lookups += 1
-                wire, decode = self._encode_pipe_lookup(msg)
-                reply = decode(self._rpc_process(handle, wire, timeout))
-            else:
-                reply = self._rpc_process(handle, msg, timeout)
+            reply = self._rpc_process(handle, msg, timeout)
         if reply[0] != "ok":
             self._mark_down(handle, f"error reply: {reply[1]}")
             raise WorkerUnavailable(
                 f"worker {worker_id} rejected {op!r}: {reply[1]}"
             )
-        if is_lookup:
+        if op == "lookup":
             handle.lookups_served += 1
+            return _unpack_lookup_response(reply[1])
         return reply[1]
-
-    @staticmethod
-    def _encode_pipe_lookup(msg):
-        """Choose the pipe wire format for a lookup's point batch.
-
-        Tiny ndarray batches go over as ``lookup_t`` plain point lists —
-        pickling a small ndarray (and its ndarray reply) costs several
-        times the list encoding. Values survive exactly (``tolist``
-        round-trips every float bit-for-bit) and the reply carries the
-        dataset's dtype tag, so the rebuilt ndarray matches the ring and
-        ndarray paths bit-for-bit — float32 corners must not come back
-        as float64, or the router's stitch sums at the wrong precision.
-        """
-        points = msg[2]
-        if not isinstance(points, np.ndarray) or len(points) > _SCALAR_LOOKUP_MAX:
-            return msg, lambda reply: reply
-
-        def decode(reply):
-            if reply[0] != "ok":
-                return reply
-            values, version, dtype = reply[1]
-            return ("ok", (np.asarray(values, dtype=dtype), version))
-
-        return ("lookup_t", msg[1], [(int(r), int(c)) for r, c in points]), decode
-
-    def _rpc_ring(self, handle: WorkerHandle, msg, timeout: float):
-        """Ship a lookup over the worker's shared-memory ring.
-
-        Falls back to the pipe when the ring cannot take the request
-        (all slots busy, oversized batch); a transport failure marks the
-        worker down exactly like a broken pipe would.
-        """
-        ring = handle.ring
-        _op, name, points = msg
-        payload = _pack_lookup_request(
-            name, np.asarray(points, dtype=np.int64).reshape(-1, 2)
-        )
-        epoch = handle.epoch
-        process = handle.process
-
-        def notify() -> None:
-            # Re-read the fd under the ring lock and gate on the epoch: a
-            # concurrent restart closes doorbell_w and the fresh pipes may
-            # reuse the same fd number, so a captured fd could write a
-            # stray byte into an unrelated descriptor (worst case, the new
-            # control pipe's framed stream).
-            with handle.ring_lock:
-                if handle.epoch != epoch or handle.doorbell_w == -1:
-                    return
-                try:
-                    os.write(handle.doorbell_w, b"!")
-                except BlockingIOError:
-                    pass  # doorbells already pending; the worker will scan
-                except OSError:
-                    pass  # teardown race; the request path will time out
-
-        try:
-            status, data = ring.request(
-                payload, timeout, notify=notify,
-                alive=lambda: process is not None and process.is_alive(),
-            )
-        except RingUnavailable:
-            handle.pipe_lookups += 1
-            return self._rpc_process(handle, msg, timeout)
-        except (TimeoutError, OSError, ValueError) as exc:
-            self._mark_down(handle, f"ring: {type(exc).__name__}: {exc}")
-            raise WorkerUnavailable(
-                f"worker {handle.worker_id} (epoch {handle.epoch}) is "
-                f"unreachable over its lookup ring: {exc}"
-            ) from exc
-        handle.ring_lookups += 1
-        if status != _RING_OK:
-            return ("error", data.decode("utf-8", "replace"))
-        return ("ok", _unpack_lookup_response(data))
 
     def _rpc_inline(self, handle: WorkerHandle, msg) -> Tuple[Any, ...]:
         state = handle.inline_state
@@ -1160,7 +699,7 @@ class WorkerSupervisor:
                 )
             try:
                 conn.send(msg)
-                if not conn.poll(timeout):
+                if not _readable(conn, timeout):
                     raise TimeoutError(
                         f"no reply to {msg[0]!r} within {timeout}s"
                     )
@@ -1247,7 +786,6 @@ class WorkerSupervisor:
                 handle.process.kill()
             handle.process.join(timeout=2.0)
             handle.process = None
-        self._close_ring(handle)
 
     def _rehydrate(self, handle: WorkerHandle) -> None:
         """Install every assigned shard from its current checkpoint."""
@@ -1366,10 +904,7 @@ class WorkerSupervisor:
             "lookups_served": {
                 h.worker_id: h.lookups_served for h in self.handles
             },
-            "ring_lookups": {
-                h.worker_id: h.ring_lookups for h in self.handles
-            },
-            "pipe_lookups": {
-                h.worker_id: h.pipe_lookups for h in self.handles
-            },
+            # Always zero: the pipe is the only lookup transport. Kept
+            # because perfbench/layers.py reads it for cluster.ring_share.
+            "ring_lookups": {h.worker_id: 0 for h in self.handles},
         }

@@ -40,8 +40,8 @@ kernels amortize global-memory access:
   stitched in the same deterministic order either way.
 * **Fast path** — a rectangle whose ≤ 4 corners land in one range skips
   the fan-out machinery for a single round trip.
-* The hot transport underneath is the supervisor's shared-memory
-  :class:`~repro.service.cluster.LookupRing` (pipe fallback preserved).
+* Each round trip is one pipe RPC to a worker process carrying the
+  supervisor's packed point/value codec (see :mod:`repro.service.cluster`).
 
 Every path stitches with the canonical inclusion–exclusion order, so all
 answers stay bit-identical to the local store.
@@ -52,8 +52,9 @@ from __future__ import annotations
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -274,11 +275,8 @@ class ShardRouter:
         rpc_timeout: float = 2.0,
         breaker_failures: int = 3,
         breaker_cooldown: float = 1.0,
-        coalesce: bool = True,
         coalesce_window: float = 0.0,
         coalesce_max_points: int = 4096,
-        pipeline: bool = True,
-        fanout_threads: Optional[int] = None,
     ):
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
@@ -309,14 +307,8 @@ class ShardRouter:
             )
             for _ in range(supervisor.workers)
         ]
-        self.coalesce = coalesce
         self.coalesce_window = coalesce_window
         self.coalesce_max_points = coalesce_max_points
-        self.pipeline = pipeline
-        self.fanout_threads = (
-            fanout_threads if fanout_threads is not None
-            else max(4, 2 * supervisor.workers)
-        )
         self._routes: Dict[str, _DatasetRoute] = {}
         self._inflight = 0
         self._inflight_lock = threading.Lock()
@@ -461,25 +453,7 @@ class ShardRouter:
         route = self._route(name)
         rows_cols = self.checkpoints.dataset(name).shape
         _check_rect(rows_cols, top, left, bottom, right)
-        deadline = None if timeout is None else self.clock.now() + timeout
-        with self._inflight_lock:
-            if self._inflight >= self.max_inflight:
-                self.counters["shed"] += 1
-                obs.inc("cluster_shed_total")
-                raise Overloaded(
-                    f"cluster router at max_inflight={self.max_inflight}; "
-                    f"retry with backoff"
-                )
-            self._inflight += 1
-        try:
-            self.counters["requests"] += 1
-            obs.inc("cluster_requests_total", kind="region_sum")
-            if deadline is not None and self.clock.now() > deadline:
-                self.counters["deadline_missed"] += 1
-                obs.inc("cluster_deadline_missed_total")
-                raise DeadlineExceeded(
-                    f"deadline passed before dispatch of region_sum on {name!r}"
-                )
+        with self._admit("region_sum", name, timeout) as deadline:
             # The four SAT corners, in the canonical stitch order of
             # queries.region_sum (term order fixes the float rounding).
             corners: List[Tuple[Tuple[int, int], int]] = [((bottom, right), +1)]
@@ -496,9 +470,6 @@ class ShardRouter:
             for (_pt, sign), value in zip(corners[1:], values[1:]):
                 total = total + value if sign > 0 else total - value
             return total
-        finally:
-            with self._inflight_lock:
-                self._inflight -= 1
 
     def region_sums(self, name: str, rects: np.ndarray, *,
                     timeout: Optional[float] = None) -> np.ndarray:
@@ -527,25 +498,7 @@ class ShardRouter:
         k = len(rects)
         if k == 0:
             return np.zeros(0, dtype=ds.values.dtype)
-        deadline = None if timeout is None else self.clock.now() + timeout
-        with self._inflight_lock:
-            if self._inflight >= self.max_inflight:
-                self.counters["shed"] += 1
-                obs.inc("cluster_shed_total")
-                raise Overloaded(
-                    f"cluster router at max_inflight={self.max_inflight}; "
-                    f"retry with backoff"
-                )
-            self._inflight += 1
-        try:
-            self.counters["requests"] += k
-            obs.inc("cluster_requests_total", k, kind="region_sums")
-            if deadline is not None and self.clock.now() > deadline:
-                self.counters["deadline_missed"] += 1
-                obs.inc("cluster_deadline_missed_total")
-                raise DeadlineExceeded(
-                    f"deadline passed before dispatch of region_sums on {name!r}"
-                )
+        with self._admit("region_sums", name, timeout, requests=k) as deadline:
             # All four corner vectors at once; negative indices are the
             # branch-free zeros of sat_at_many, applied router-side.
             corner_r = np.concatenate([bottom, top - 1, bottom, top - 1])
@@ -576,9 +529,6 @@ class ShardRouter:
             v = vals.reshape(4, k)
             # Same elementwise term order as queries.region_sums.
             return v[0] - v[1] - v[2] + v[3]
-        finally:
-            with self._inflight_lock:
-                self._inflight -= 1
 
     def lookup(self, name: str, r: int, c: int, *,
                timeout: Optional[float] = None):
@@ -589,6 +539,19 @@ class ShardRouter:
             raise ShapeError(
                 f"point ({r}, {c}) outside dataset of shape ({rows}, {cols})"
             )
+        with self._admit("lookup", name, timeout) as deadline:
+            return self._lookup_corners(route, [(r, c)], deadline)[0]
+
+    @contextmanager
+    def _admit(self, op: str, name: str, timeout: Optional[float], *,
+               requests: int = 1) -> Iterator[Optional[float]]:
+        """Admission control shared by every query; yields the deadline.
+
+        Sheds with :class:`Overloaded` at ``max_inflight``, counts
+        ``requests`` admitted queries, and raises
+        :class:`DeadlineExceeded` if the deadline is already gone before
+        any worker is asked. The in-flight slot is released on exit.
+        """
         deadline = None if timeout is None else self.clock.now() + timeout
         with self._inflight_lock:
             if self._inflight >= self.max_inflight:
@@ -600,15 +563,15 @@ class ShardRouter:
                 )
             self._inflight += 1
         try:
-            self.counters["requests"] += 1
-            obs.inc("cluster_requests_total", kind="lookup")
+            self.counters["requests"] += requests
+            obs.inc("cluster_requests_total", requests, kind=op)
             if deadline is not None and self.clock.now() > deadline:
                 self.counters["deadline_missed"] += 1
                 obs.inc("cluster_deadline_missed_total")
                 raise DeadlineExceeded(
-                    f"deadline passed before dispatch of lookup on {name!r}"
+                    f"deadline passed before dispatch of {op} on {name!r}"
                 )
-            return self._lookup_corners(route, [(r, c)], deadline)[0]
+            yield deadline
         finally:
             with self._inflight_lock:
                 self._inflight -= 1
@@ -678,7 +641,7 @@ class ShardRouter:
         order, so pipelining changes latency, never values. Deadline
         failures outrank replica exhaustion when both happen.
         """
-        if len(groups) == 1 or not self.pipeline:
+        if len(groups) == 1:
             return [
                 self._coalesced_lookup(route, rid, pts, deadline)
                 for rid, pts in groups
@@ -729,8 +692,6 @@ class ShardRouter:
         query. Values come back in request order per caller, so
         coalescing is invisible to the stitch.
         """
-        if not self.coalesce:
-            return self._lookup_on_range(route, rid, points, deadline)
         ch = self._channel(route.name, rid)
         me = _PendingLookup(points, deadline)
         batch: Optional[List[_PendingLookup]] = None
@@ -869,7 +830,7 @@ class ShardRouter:
                 executor = self._executor
                 if executor is None:
                     executor = ThreadPoolExecutor(
-                        max_workers=self.fanout_threads,
+                        max_workers=max(4, 2 * self.supervisor.workers),
                         thread_name_prefix="repro-router-fanout",
                     )
                     self._executor = executor

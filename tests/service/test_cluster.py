@@ -8,8 +8,9 @@ process-mode tests at the end covers what inline cannot: real SIGKILL,
 broken pipes, and the shared-memory blob transport.
 """
 
+import os
 import pickle
-import threading
+import signal
 import time
 import zlib
 
@@ -17,14 +18,11 @@ import numpy as np
 import pytest
 
 from repro.errors import CorruptionDetected, UnknownDataset, WorkerUnavailable
-from repro.service import cluster as cluster_module
 from repro.service.cluster import (
     ALIVE,
     DOWN,
     SHM_BLOB_THRESHOLD,
     CheckpointStore,
-    LookupRing,
-    RingUnavailable,
     ShardCheckpoint,
     ShardWorkerState,
     WorkerSupervisor,
@@ -76,6 +74,15 @@ def _load_worker(worker, store, ds, name="img", range_ids=None):
                 shm.unlink()
 
 
+def _lookup(worker, name, points):
+    """One ``lookup`` op on a bare ShardWorkerState, in the packed wire format."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    status, payload = worker.handle(("lookup", _pack_lookup_request(name, pts)))
+    if status != "ok":
+        return status, payload
+    return status, _unpack_lookup_response(payload)
+
+
 # --- worker protocol ----------------------------------------------------------
 
 
@@ -92,7 +99,7 @@ def test_worker_lookup_matches_local_sat(rng):
     worker = ShardWorkerState(0)
     _load_worker(worker, store, ds)
     points = [(int(r), int(c)) for r, c in rng.integers(0, 32, size=(16, 2))]
-    ok, (values, version) = worker.handle(("lookup", "img", points))
+    ok, (values, version) = _lookup(worker, "img", points)
     assert ok == "ok" and version == ds.version
     for (r, c), got in zip(points, values):
         assert got == ds.values.sat_at(r, c)  # bitwise: same addition order
@@ -124,7 +131,7 @@ def test_worker_delta_applies_only_owned_tiles(rng):
     comps = ds.values.shard_delta(0, 0, 0, 0)
     ok, version = worker.handle(("delta", "img", ds.version, comps))
     assert ok == "ok" and version == ds.version
-    ok, (values, _v) = worker.handle(("lookup", "img", [(1, 1)]))
+    ok, (values, _v) = _lookup(worker, "img", [(1, 1)])
     assert ok == "ok" and values[0] == ds.values.sat_at(1, 1)
 
 
@@ -136,14 +143,14 @@ def test_worker_lookup_outside_shards_is_an_error_not_a_guess(rng):
     (lo, hi) = ranges[1]
     r = (lo // ds.values.nb_c) * TILE  # a point in the uninstalled range
     c = (lo % ds.values.nb_c) * TILE
-    status, detail = worker.handle(("lookup", "img", [(r, c)]))
+    status, detail = _lookup(worker, "img", [(r, c)])
     assert status == "error" and "outside this worker" in detail
 
 
 def test_worker_unknown_op_and_unknown_dataset(rng):
     worker = ShardWorkerState(0)
     assert worker.handle(("warp", 1))[0] == "error"
-    assert worker.handle(("lookup", "ghost", [(0, 0)]))[0] == "error"
+    assert _lookup(worker, "ghost", [(0, 0)])[0] == "error"
     assert worker.handle(("delta", "ghost", 1, {}))[0] == "error"
     assert worker.handle(("drop", "ghost"))[0] == "ok"  # drop is idempotent
 
@@ -328,6 +335,26 @@ def test_process_shared_memory_checkpoint_transport(rng):
         router.close()
 
 
+def test_process_rpc_times_out_on_a_stalled_worker():
+    """A worker that never answers costs the RPC timeout, not a hang,
+    and is marked down."""
+    sup = WorkerSupervisor(1, auto_restart=False)
+    try:
+        pid = sup.handles[0].process.pid
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(WorkerUnavailable, match="no reply"):
+                sup.rpc(0, ("ping",), timeout=0.2)
+            elapsed = time.monotonic() - t0
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        assert 0.19 <= elapsed < 2.0
+        assert sup.handles[0].state == DOWN
+    finally:
+        sup.stop()
+
+
 def test_monitor_thread_recovers_a_killed_worker(rng):
     sup = WorkerSupervisor(2, heartbeat_interval=0.02)
     router = ShardRouter(sup, replicas=2)
@@ -350,7 +377,7 @@ def test_monitor_thread_recovers_a_killed_worker(rng):
         router.close()
 
 
-# --- shared-memory lookup ring ------------------------------------------------
+# --- lookup wire format -------------------------------------------------------
 
 
 def test_ring_codec_roundtrips_points_and_values():
@@ -372,108 +399,40 @@ def test_ring_codec_roundtrips_points_and_values():
         assert np.array_equal(got_v, values)
 
 
-def test_lookup_ring_serves_and_rejects_oversized_payloads():
-    ring = LookupRing.create(slots=2, slot_payload=64)
-    server = LookupRing.attach(ring.name)
-    stop = threading.Event()
-
-    def serve_loop():
-        while not stop.is_set():
-            if server.serve(lambda payload: (0, payload[::-1])) == 0:
-                time.sleep(0.001)
-
-    t = threading.Thread(target=serve_loop, daemon=True)
-    t.start()
-    try:
-        status, resp = ring.request(b"doorbell", timeout=5.0)
-        assert status == 0 and resp == b"llebrood"
-        # A payload that cannot fit any slot is refused up front, so the
-        # supervisor can fall back to the pipe instead of blocking.
-        with pytest.raises(RingUnavailable):
-            ring.request(b"x" * 65, timeout=1.0)
-    finally:
-        stop.set()
-        t.join()
-        server.close()
-        ring.retire()
-
-
-def test_process_bulk_lookup_rides_the_ring(rng):
+def test_process_bulk_lookup_is_exact(rng):
     sup = WorkerSupervisor(2, heartbeat_interval=0.02)
-    if not sup.use_ring:
-        pytest.skip("ring transport needs the fork start method")
     router = ShardRouter(sup, replicas=2)
     try:
         a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
         ds = router.ingest("img", a, tile=TILE)
-        # More points than the scalar/pipe cutoff: bulk batches always
-        # take the ring, whatever the host's CPU count.
-        pts = np.array(
-            [[r, c] for r in range(0, 32, 4) for c in (0, 31)], dtype=np.int64
-        )
-        assert len(pts) > 8
-        values, _v = sup.rpc(0, ("lookup", "img", pts))
-        want = np.array([ds.values.sat_at(r, c) for r, c in pts])
-        assert np.array_equal(values, want)
-        assert sum(sup.stats()["ring_lookups"].values()) >= 1
-    finally:
-        router.close()
-
-
-def test_process_oversized_ring_batch_falls_back_to_the_pipe(rng):
-    # Slots too small for even the request header + 16 points: every
-    # bulk lookup must quietly detour over the pipe and still be exact.
-    sup = WorkerSupervisor(1, heartbeat_interval=0.02, ring_slot_bytes=64)
-    if not sup.use_ring:
-        pytest.skip("ring transport needs the fork start method")
-    router = ShardRouter(sup, replicas=1)
-    try:
-        a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
-        ds = router.ingest("img", a, tile=TILE)
-        pts = np.array(
-            [[r, c] for r in range(0, 32, 4) for c in (1, 30)], dtype=np.int64
-        )
-        values, _v = sup.rpc(0, ("lookup", "img", pts))
-        want = np.array([ds.values.sat_at(r, c) for r, c in pts])
-        assert np.array_equal(values, want)
-        assert sup.handles[0].state == ALIVE  # fallback is not a failure
-        assert sup.stats()["pipe_lookups"][0] >= 1
-        assert sup.stats()["ring_lookups"][0] == 0
-    finally:
-        router.close()
-
-
-def test_process_use_ring_false_serves_over_the_pipe(rng):
-    sup = WorkerSupervisor(1, heartbeat_interval=0.02, use_ring=False)
-    router = ShardRouter(sup, replicas=1)
-    try:
-        a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
-        ds = router.ingest("img", a, tile=TILE)
-        assert sup.handles[0].ring is None
-        pts = np.array(
-            [[r, c] for r in range(0, 32, 4) for c in (0, 31)], dtype=np.int64
-        )
-        values, _v = sup.rpc(0, ("lookup", "img", pts))
-        want = np.array([ds.values.sat_at(r, c) for r, c in pts])
-        assert np.array_equal(values, want)
-        assert sum(sup.stats()["ring_lookups"].values()) == 0
+        # Past the scalar cutoff (vectorized serving), and 10 000 points:
+        # 160 KB of request, more than any fixed-size transport slot.
+        for pts in (
+            np.array([[r, c] for r in range(0, 32, 4) for c in (0, 31)],
+                     dtype=np.int64),
+            rng.integers(0, 32, size=(10_000, 2)),
+        ):
+            values, version = sup.rpc(0, ("lookup", "img", pts))
+            want = ds.values.sat_at_many(pts[:, 0], pts[:, 1])
+            assert version == ds.version and values.dtype == want.dtype
+            assert np.array_equal(values, want)
+        assert sup.stats()["lookups_served"][0] == 2
     finally:
         router.close()
 
 
 def test_process_tiny_pipe_lookup_preserves_dataset_dtype(rng):
-    """Regression: the tiny list-encoded pipe path must restore the
-    dataset dtype. Rebuilding float32 corners as float64 made
-    region_sum stitch at the wrong precision *and* return the wrong
-    dtype — and only on the pipe, so results depended on the transport.
+    """Regression: a tiny pipe lookup must restore the dataset dtype.
+    Rebuilding float32 corners as float64 made region_sum stitch at the
+    wrong precision *and* return the wrong dtype.
     """
-    sup = WorkerSupervisor(2, heartbeat_interval=0.02, use_ring=False)
+    sup = WorkerSupervisor(2, heartbeat_interval=0.02)
     router = ShardRouter(sup, replicas=2)
     try:
         a = rng.integers(-50, 50, size=(32, 32)).astype(np.float32)
         ds = router.ingest("img", a, tile=TILE)
         pts = np.array([[3, 3], [9, 9], [31, 31]], dtype=np.int64)
-        values, _v = sup.rpc(0, ("lookup", "img", pts))  # tiny: list wire
+        values, _v = sup.rpc(0, ("lookup", "img", pts))
         assert values.dtype == np.float32
         for (r, c), got in zip(pts, values):
             assert got == ds.values.sat_at(r, c)
@@ -490,23 +449,8 @@ def test_process_tiny_pipe_lookup_preserves_dataset_dtype(rng):
         router.close()
 
 
-def test_ring_is_disabled_on_weakly_ordered_machines(monkeypatch):
-    """The ring's fence-free publication protocol assumes x86-TSO; on
-    any other machine the supervisor must keep lookups on the pipe."""
-    monkeypatch.setattr(cluster_module, "_RING_TSO_SAFE", False)
-    sup = WorkerSupervisor(1, heartbeat_interval=0.02, use_ring=True)
-    try:
-        assert not sup.use_ring
-        assert sup.handles[0].ring is None
-        assert sup.handles[0].doorbell_w == -1
-    finally:
-        sup.stop()
-
-
-def test_process_ring_lookup_fails_fast_when_worker_dies(rng):
+def test_process_lookup_fails_fast_when_worker_dies(rng):
     sup = WorkerSupervisor(2, heartbeat_interval=0.02)
-    if not sup.use_ring:
-        pytest.skip("ring transport needs the fork start method")
     router = ShardRouter(sup, replicas=2)
     try:
         a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
@@ -515,8 +459,7 @@ def test_process_ring_lookup_fails_fast_when_worker_dies(rng):
             [[r, c] for r in range(0, 32, 4) for c in (0, 31)], dtype=np.int64
         )
         sup.kill_worker(0)
-        # The ring client must notice the corpse (dead doorbell or the
-        # alive() probe) well before the 5s RPC timeout, not spin it out.
+        # The broken pipe must surface well before the 5s RPC timeout.
         t0 = time.monotonic()
         with pytest.raises(WorkerUnavailable):
             sup.rpc(0, ("lookup", "img", pts))
